@@ -70,11 +70,6 @@ OfflineTrainer::OfflineTrainer(std::vector<FlEnv> envs,
   }
 }
 
-void OfflineTrainer::set_pool(ThreadPool* pool) {
-  pool_ = pool;
-  agent_.set_pool(pool);
-}
-
 EpisodeStats OfflineTrainer::run_episode(std::size_t episode_index) {
   if (extra_envs_.empty()) return run_episode_single(episode_index);
   return run_episode_lockstep(episode_index);

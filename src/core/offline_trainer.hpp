@@ -91,10 +91,10 @@ class OfflineTrainer {
   OfflineTrainer(std::vector<FlEnv> envs, const TrainerConfig& config,
                  std::uint64_t seed);
 
-  /// Attaches a pool for parallel env stepping (multi-env mode) and
-  /// block-parallel minibatch backprop (config.ppo.grad_block_rows > 0).
-  /// Results are bit-identical with or without a pool.
-  void set_pool(ThreadPool* pool);
+  /// Attaches a pool for parallel env stepping (multi-env mode only; the
+  /// PPO update always runs on the calling thread). Results are
+  /// bit-identical with or without a pool.
+  void set_pool(ThreadPool* pool) { pool_ = pool; }
 
   /// 1 + the number of extra envs behind the multi-env constructor.
   std::size_t num_envs() const { return 1 + extra_envs_.size(); }

@@ -1,7 +1,6 @@
 #include "nn/activations.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "nn/fused.hpp"
 #include "tensor/ops.hpp"
@@ -81,13 +80,7 @@ Matrix Tanh::backward(const Matrix& grad_output) {
 
 void Tanh::forward_into(const Matrix& input, Matrix& out) {
   out.resize_reuse(input.rows(), input.cols());
-  if (fast_activations_enabled()) {
-    fast_tanh_map(input.data(), out.data(), input.size());
-  } else {
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      out[i] = std::tanh(input[i]);
-    }
-  }
+  fast_tanh_map(input.data(), out.data(), input.size());
   output_ref_ = &out;  // derivative reads the output, wherever it lives
 }
 
@@ -112,20 +105,7 @@ Matrix Sigmoid::backward(const Matrix& grad_output) {
 
 void Sigmoid::forward_into(const Matrix& input, Matrix& out) {
   out.resize_reuse(input.rows(), input.cols());
-  if (fast_activations_enabled()) {
-    fast_sigmoid_map(input.data(), out.data(), input.size());
-  } else {
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      const double x = input[i];
-      // Split on sign to avoid overflow in exp.
-      if (x >= 0.0) {
-        out[i] = 1.0 / (1.0 + std::exp(-x));
-      } else {
-        const double e = std::exp(x);
-        out[i] = e / (1.0 + e);
-      }
-    }
-  }
+  fast_sigmoid_map(input.data(), out.data(), input.size());
   output_ref_ = &out;
 }
 
@@ -141,8 +121,8 @@ void Sigmoid::backward_into(const Matrix& grad_output, Matrix& grad_in) {
 void softmax_rows_into(const Matrix& logits, Matrix& out) {
   // No upfront copy: the shifted logits are written straight into `out`
   // (aliasing-safe — each element is read once before it is overwritten),
-  // then exponentiated in place and normalized. With fast_activations off
-  // this computes exactly the legacy copy-then-transform element sequence.
+  // then exponentiated in place by the saturating fast_exp_map
+  // (nn/fused.hpp) and normalized.
   if (&out != &logits) out.resize_reuse(logits.rows(), logits.cols());
   const std::size_t cols = logits.cols();
   for (std::size_t i = 0; i < logits.rows(); ++i) {
@@ -150,11 +130,7 @@ void softmax_rows_into(const Matrix& logits, Matrix& out) {
     const double mx = *std::max_element(src.begin(), src.end());
     double* o = out.data() + i * cols;
     for (std::size_t j = 0; j < cols; ++j) o[j] = src[j] - mx;
-    if (fast_activations_enabled()) {
-      fast_exp_map(o, o, cols);
-    } else {
-      for (std::size_t j = 0; j < cols; ++j) o[j] = std::exp(o[j]);
-    }
+    fast_exp_map(o, o, cols);
     double z = 0.0;
     for (std::size_t j = 0; j < cols; ++j) z += o[j];
     for (std::size_t j = 0; j < cols; ++j) o[j] /= z;

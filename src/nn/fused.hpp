@@ -1,24 +1,22 @@
 // Fused / vectorized elementwise kernels for the NN training hot path.
 //
-// Two independent levers (both thread-safe, flip only between steps):
+// Two techniques, each the only production path:
 //
-//  * fast_activations (default ON): exp-based tanh/sigmoid/softmax-exp
-//    evaluated by a shared polynomial operation DAG with runtime
-//    AVX-512F / AVX2 / scalar dispatch. The three tiers execute the SAME
-//    per-element operation sequence (explicit mul-then-add, no FMA
-//    contraction), so results are bit-identical across tiers and across
-//    any batch composition — but NOT bit-identical to libm (absolute
-//    error < ~1e-15; goldens are recorded with this lever ON). Turning it
-//    OFF restores the libm (std::tanh / std::exp) paths — the honest
-//    "before" lever bench_gemm and bench_obs use.
+//  * Fast activations: exp-based tanh/sigmoid/softmax-exp evaluated by a
+//    shared polynomial operation DAG with runtime AVX-512F / AVX2 / scalar
+//    dispatch. The three tiers execute the SAME per-element operation
+//    sequence (explicit mul-then-add, no FMA contraction), so results are
+//    bit-identical across tiers and across any batch composition — but NOT
+//    bit-identical to libm (absolute error < ~1e-15, checked against libm
+//    by tests/test_fused_kernels.cpp). The goldens are recorded with them.
 //
-//  * fused_kernels (default ON): pass fusion on the Sequential workspace
-//    path — dense+bias+activation forward in one sweep, and the
-//    dGrad·dAct derivative map fused with the bias-gradient column sum on
-//    backward. Fusion only regroups traversals, never the per-element
-//    arithmetic, so this lever is bit-identical ON vs OFF (enforced by
-//    tests/test_fused_kernels.cpp against the *_reference oracles and by
-//    the golden-trajectory fusion check).
+//  * Pass fusion on the Sequential workspace path: dense+bias+activation
+//    forward in one sweep, and the dGrad·dAct derivative map fused with
+//    the bias-gradient column sum on backward. Fusion only regroups
+//    traversals, never the per-element arithmetic, so it is bit-identical
+//    to the layer-by-layer Sequential::forward/backward (enforced by
+//    tests/test_fused_kernels.cpp against those and the *_reference
+//    oracles).
 //
 // ReLU-family maps and the pure-arithmetic derivative maps are SIMD'd
 // unconditionally: they are bit-identical to the naive scalar loops by
@@ -30,11 +28,6 @@
 #include "tensor/matrix.hpp"
 
 namespace fedra {
-
-bool fast_activations_enabled();
-void set_fast_activations(bool enabled);
-bool fused_kernels_enabled();
-void set_fused_kernels(bool enabled);
 
 /// Activation kinds the pass-fusion engine understands. Only
 /// output-derivative activations qualify: their backward reads the
@@ -108,8 +101,7 @@ void sigmoid_backward_map_reference(const double* g, const double* y,
 /// the activation pass instead of mutating `pre` in place first.
 /// Bit-identical to add_row_broadcast + the activation's forward map
 /// (same two ops per element, in the same order). `bias` is 1 x cols;
-/// `out` must not alias `pre`. Honors fast_activations for the
-/// transcendental.
+/// `out` must not alias `pre`.
 void bias_act_into(const Matrix& pre, const Matrix& bias, FusedAct act,
                    Matrix& out);
 void bias_act_into_reference(const Matrix& pre, const Matrix& bias,

@@ -32,8 +32,9 @@ class Sequential : public Layer {
   /// steady-state pass performs zero heap allocations. Returns the output
   /// buffer (valid until the next cached call on `ws`). `input` must stay
   /// valid and unmodified until backward_cached completes — layers cache
-  /// pointers into these buffers instead of copying. Bit-identical to
-  /// forward(); falls back to it when workspace reuse is globally off.
+  /// pointers into these buffers instead of copying. Dense+Tanh/Sigmoid
+  /// pairs run as one fused kernel (nn/fused.hpp). Bit-identical to
+  /// forward(), which stays as the layer-by-layer test oracle.
   const Matrix& forward_cached(const Matrix& input, Workspace& ws);
 
   /// Backward counterpart of forward_cached, alternating between the two

@@ -25,14 +25,6 @@
 
 namespace fedra {
 
-/// Global switch for the capacity-reuse training paths. On (default):
-/// Sequential::forward_cached/backward_cached run through workspace
-/// buffers. Off: they fall back to the allocating legacy path — the
-/// before/after lever bench_gemm uses to quantify the win from one
-/// binary. Thread-safe; flip only between steps, not mid-pass.
-bool workspace_reuse_enabled();
-void set_workspace_reuse(bool enabled);
-
 class Workspace {
  public:
   Workspace() = default;

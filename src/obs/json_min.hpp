@@ -66,7 +66,7 @@ bool parse_json(std::string_view text, JsonValue& out);
 /// empty containers are skipped.  Used by the bench compare mode.
 std::map<std::string, double> flatten_numbers(const JsonValue& value);
 
-/// Flatten every string leaf the same way ("schema": "fedra.bench.tensor.v1").
+/// Flatten every string leaf the same way ("schema": "fedra.bench.tensor.v2").
 std::map<std::string, std::string> flatten_strings(const JsonValue& value);
 
 }  // namespace fedra::obs

@@ -46,9 +46,7 @@ DdpgAgent::DdpgAgent(std::size_t state_dim, std::size_t action_dim,
           make_critic(state_dim, action_dim, config, seed ^ 0xbeefULL)),
       actor_opt_(actor_, config.actor_lr),
       critic_opt_(critic_, config.critic_lr),
-      replay_(config.replay_capacity),
-      per_replay_(config.replay_capacity, config.per_alpha,
-                  config.per_beta) {
+      replay_(config.replay_capacity) {
   FEDRA_EXPECTS(state_dim > 0 && action_dim > 0);
   FEDRA_EXPECTS(config.gamma >= 0.0 && config.gamma < 1.0);
   FEDRA_EXPECTS(config.soft_tau > 0.0 && config.soft_tau <= 1.0);
@@ -108,41 +106,16 @@ void DdpgAgent::soft_update(Sequential& target, Sequential& online) const {
   }
 }
 
-void DdpgAgent::remember(OffPolicyTransition t) {
-  if (config_.prioritized) {
-    per_replay_.push(std::move(t));
-  } else {
-    replay_.push(std::move(t));
-  }
-}
-
-std::size_t DdpgAgent::replay_size() const {
-  return config_.prioritized ? per_replay_.size() : replay_.size();
-}
+void DdpgAgent::remember(OffPolicyTransition t) { replay_.push(std::move(t)); }
 
 DdpgStats DdpgAgent::update(Rng& rng) {
   DdpgStats stats;
   if (replay_size() < std::max(config_.warmup, config_.batch_size)) {
     return stats;
   }
-  if (!config_.prioritized) {
-    const auto batch = replay_.sample(config_.batch_size, rng);
-    return update_on_batch(batch, {}, nullptr);
-  }
-  auto pri = per_replay_.sample(config_.batch_size, rng);
-  std::vector<double> td_errors;
-  stats = update_on_batch(pri.batch, pri.weights, &td_errors);
-  per_replay_.update_priorities(pri.indices, td_errors);
-  return stats;
-}
-
-DdpgStats DdpgAgent::update_on_batch(const OffPolicyBatch& batch,
-                                     const std::vector<double>& is_weights,
-                                     std::vector<double>* out_td_errors) {
-  DdpgStats stats;
+  const OffPolicyBatch batch = replay_.sample(config_.batch_size, rng);
   const std::size_t n = batch.states.rows();
   const double inv_n = 1.0 / static_cast<double>(n);
-  FEDRA_EXPECTS(is_weights.empty() || is_weights.size() == n);
 
   // ---- Critic: fit Q(s,a) to r + gamma Q'(s', mu'(s')) ----
   Matrix next_actions = target_actor_.forward(batch.next_states);
@@ -156,14 +129,11 @@ DdpgStats DdpgAgent::update_on_batch(const OffPolicyBatch& batch,
   Matrix q = critic_.forward(concat(batch.states, batch.actions));
   Matrix grad_q(n, 1);
   double critic_loss = 0.0;
-  if (out_td_errors) out_td_errors->resize(n);
   for (std::size_t b = 0; b < n; ++b) {
     const double target = batch.rewards[b] + config_.gamma * next_q(b, 0);
     const double err = q(b, 0) - target;
-    const double w = is_weights.empty() ? 1.0 : is_weights[b];
-    critic_loss += w * err * err * inv_n;
-    grad_q(b, 0) = 2.0 * w * err * inv_n;
-    if (out_td_errors) (*out_td_errors)[b] = err;
+    critic_loss += err * err * inv_n;
+    grad_q(b, 0) = 2.0 * err * inv_n;
   }
   critic_.backward(grad_q);
   critic_opt_.step();

@@ -10,7 +10,6 @@
 
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
-#include "rl/prioritized_replay.hpp"
 #include "rl/replay.hpp"
 #include "util/rng.hpp"
 
@@ -28,10 +27,6 @@ struct DdpgConfig {
   std::size_t replay_capacity = 20000;
   std::size_t warmup = 256;  ///< transitions before updates start
   double action_floor = 0.01;  ///< actions clamped to [floor, 1]
-  /// Prioritized replay (Schaul et al.) instead of uniform sampling.
-  bool prioritized = false;
-  double per_alpha = 0.6;
-  double per_beta = 0.4;
 };
 
 struct DdpgStats {
@@ -56,7 +51,7 @@ class DdpgAgent {
   std::vector<double> act_noisy(const std::vector<double>& state, Rng& rng);
 
   void remember(OffPolicyTransition t);
-  std::size_t replay_size() const;
+  std::size_t replay_size() const { return replay_.size(); }
 
   /// One gradient step on a sampled minibatch (no-op before warmup).
   DdpgStats update(Rng& rng);
@@ -68,11 +63,6 @@ class DdpgAgent {
  private:
   Matrix concat(const Matrix& states, const Matrix& actions) const;
   void soft_update(Sequential& target, Sequential& online) const;
-  /// Core update on a minibatch; `is_weights`/`out_td_errors` support the
-  /// prioritized path (empty weights = uniform).
-  DdpgStats update_on_batch(const OffPolicyBatch& batch,
-                            const std::vector<double>& is_weights,
-                            std::vector<double>* out_td_errors);
 
   std::size_t state_dim_;
   std::size_t action_dim_;
@@ -83,8 +73,7 @@ class DdpgAgent {
   Mlp target_critic_;
   Adam actor_opt_;
   Adam critic_opt_;
-  ReplayBuffer replay_;                 ///< used when !config.prioritized
-  PrioritizedReplayBuffer per_replay_;  ///< used when config.prioritized
+  ReplayBuffer replay_;
 
   // Single-row inference buffers (act / q_value), separate from the
   // batch update path so interleaved calls never disturb cached state.

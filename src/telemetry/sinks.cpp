@@ -242,8 +242,12 @@ std::string format_text_summary(const MetricsSnapshot& metrics,
   }
   const auto agg = aggregate_spans(spans);
   if (!agg.empty()) {
-    double grand_total = 0.0;
-    for (const auto& [name, a] : agg) grand_total += a.total_us;
+    // Shares are of root-span time: a nested span's time is already
+    // inside its parent's, so summing every span would count it twice.
+    double root_total = 0.0;
+    for (const auto& s : spans) {
+      if (s.parent_span_id == 0) root_total += s.dur_us;
+    }
     out << "== spans ==\n";
     std::snprintf(line, sizeof(line),
                   "  %-24s %8s %12s %12s %12s %7s\n", "phase", "count",
@@ -255,7 +259,7 @@ std::string format_text_summary(const MetricsSnapshot& metrics,
           "  %-24s %8llu %12.3f %12.3f %12.3f %6.1f%%\n", name.c_str(),
           static_cast<unsigned long long>(a.count), a.total_us / 1e3,
           a.total_us / 1e3 / static_cast<double>(a.count), a.max_us / 1e3,
-          grand_total > 0.0 ? 100.0 * a.total_us / grand_total : 0.0);
+          root_total > 0.0 ? 100.0 * a.total_us / root_total : 0.0);
       out << line;
     }
   }

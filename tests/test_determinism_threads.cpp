@@ -6,6 +6,10 @@
 // makes checkpoints portable across machines with different core counts.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/offline_trainer.hpp"
@@ -145,6 +149,70 @@ TEST(ThreadDeterminism, PpoUpdateIsRunToRunDeterministic) {
   }
   ASSERT_EQ(p1.size(), p2.size());
   for (std::size_t i = 0; i < p1.size(); ++i) EXPECT_EQ(p1[i], p2[i]);
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_bitwise_equal(const std::vector<Matrix*>& a,
+                          const std::vector<Matrix*>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t p = 0; p < a.size(); ++p) {
+    ASSERT_EQ(a[p]->size(), b[p]->size()) << "param " << p;
+    for (std::size_t i = 0; i < a[p]->size(); ++i) {
+      ASSERT_EQ(bits((*a[p])[i]), bits((*b[p])[i]))
+          << "param " << p << " element " << i;
+    }
+  }
+}
+
+// Multi-env lockstep collection: env steps fan out over the trainer's
+// pool, so the experience (and therefore the trained parameters) must be
+// bit-identical across pool sizes, including no pool at all.
+TEST(ThreadDeterminism, LockstepTrainerBitIdenticalAcrossPools) {
+  auto make_envs = [] {
+    std::vector<FlEnv> envs;
+    for (std::uint64_t seed : {42, 43}) {
+      ExperimentConfig cfg = testbed_config();
+      cfg.trace_samples = 400;
+      cfg.seed = seed;
+      FlEnvConfig env_cfg;
+      env_cfg.episode_length = 12;
+      env_cfg.slot_seconds = cfg.slot_seconds;
+      env_cfg.history_slots = cfg.history_slots;
+      envs.emplace_back(build_simulator(cfg), env_cfg);
+    }
+    return envs;
+  };
+  TrainerConfig tcfg;
+  tcfg.episodes = 3;
+  tcfg.buffer_capacity = 24;
+  tcfg.policy.hidden = {16};
+  tcfg.ppo.update_epochs = 2;
+  tcfg.ppo.minibatch_size = 8;
+
+  auto run = [&](ThreadPool* pool) {
+    auto trainer = std::make_unique<OfflineTrainer>(make_envs(), tcfg, 4);
+    trainer->set_pool(pool);
+    auto history = trainer->train();
+    EXPECT_EQ(history.size(), 3u);
+    return std::make_pair(std::move(trainer), history);
+  };
+
+  auto [ref, ref_hist] = run(nullptr);
+  for (std::size_t threads : kPoolSizes) {
+    ThreadPool pool(threads);
+    auto [trainer, hist] = run(&pool);
+    expect_bitwise_equal(ref->agent().policy().params(),
+                         trainer->agent().policy().params());
+    expect_bitwise_equal(ref->agent().critic().params(),
+                         trainer->agent().critic().params());
+    ASSERT_EQ(ref_hist.size(), hist.size());
+    for (std::size_t e = 0; e < hist.size(); ++e) {
+      EXPECT_EQ(bits(ref_hist[e].avg_cost), bits(hist[e].avg_cost));
+      EXPECT_EQ(bits(ref_hist[e].avg_reward), bits(hist[e].avg_reward));
+      EXPECT_EQ(bits(ref_hist[e].total_loss), bits(hist[e].total_loss));
+    }
+  }
 }
 
 }  // namespace

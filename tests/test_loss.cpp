@@ -96,6 +96,41 @@ TEST(CrossEntropy, ExtremeLogitsStayFinite) {
   EXPECT_GT(r.value, 10.0);
 }
 
+TEST(HuberLoss, QuadraticInside) {
+  Matrix pred{{0.5}};
+  Matrix target{{0.0}};
+  auto r = huber_loss(pred, target, 1.0);
+  EXPECT_DOUBLE_EQ(r.value, 0.125);  // 0.5 * 0.25
+  EXPECT_DOUBLE_EQ(r.grad(0, 0), 0.5);
+}
+
+TEST(HuberLoss, LinearOutside) {
+  Matrix pred{{3.0}};
+  Matrix target{{0.0}};
+  auto r = huber_loss(pred, target, 1.0);
+  EXPECT_DOUBLE_EQ(r.value, 2.5);  // 1 * (3 - 0.5)
+  EXPECT_DOUBLE_EQ(r.grad(0, 0), 1.0);
+  Matrix neg{{-3.0}};
+  EXPECT_DOUBLE_EQ(huber_loss(neg, target, 1.0).grad(0, 0), -1.0);
+}
+
+TEST(HuberLoss, GradMatchesNumeric) {
+  Rng rng(8);
+  Matrix pred = Matrix::random_gaussian(3, 3, rng, 0.0, 2.0);
+  Matrix target = Matrix::random_gaussian(3, 3, rng);
+  auto r = huber_loss(pred, target, 0.8);
+  const double eps = 1e-6;
+  for (std::size_t i = 0; i < pred.size(); ++i) {
+    const double orig = pred[i];
+    pred[i] = orig + eps;
+    const double up = huber_loss(pred, target, 0.8).value;
+    pred[i] = orig - eps;
+    const double down = huber_loss(pred, target, 0.8).value;
+    pred[i] = orig;
+    EXPECT_NEAR(r.grad[i], (up - down) / (2 * eps), 1e-6);
+  }
+}
+
 TEST(Accuracy, AllCorrectAllWrong) {
   Matrix logits{{2.0, 1.0}, {0.0, 3.0}};
   EXPECT_DOUBLE_EQ(accuracy(logits, {0, 1}), 1.0);

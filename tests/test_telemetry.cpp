@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "telemetry/telemetry.hpp"
 #include "util/thread_pool.hpp"
@@ -274,6 +275,39 @@ TEST_F(TelemetryTest, SummaryListsPhasesAndMetrics) {
   EXPECT_NE(text.find("sum.counter"), std::string::npos);
   EXPECT_NE(text.find("sum_phase"), std::string::npos);
   EXPECT_NE(text.find("share"), std::string::npos);
+}
+
+// The span "share" column divides by root-span time: a child's time is
+// already inside its parent's, so root shares sum to 100% and a child's
+// share never exceeds its parent's.
+TEST_F(TelemetryTest, SummaryShareCountsNestedSpansOnce) {
+  std::vector<SpanRecord> spans(3);
+  spans[0].name = "outer";
+  spans[0].dur_us = 300.0;
+  spans[0].trace_id = 1;
+  spans[0].span_id = 10;
+  spans[1].name = "inner";
+  spans[1].dur_us = 200.0;
+  spans[1].trace_id = 1;
+  spans[1].span_id = 11;
+  spans[1].parent_span_id = 10;
+  spans[2].name = "sibling";
+  spans[2].dur_us = 100.0;
+  const std::string text = format_text_summary(MetricsSnapshot{}, spans);
+  auto share_of = [&](const std::string& name) {
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+      std::istringstream row(line);
+      std::string first;
+      row >> first;
+      if (first == name) return line.substr(line.rfind(' ') + 1);
+    }
+    return std::string("missing");
+  };
+  EXPECT_EQ(share_of("outer"), "75.0%");
+  EXPECT_EQ(share_of("inner"), "50.0%");
+  EXPECT_EQ(share_of("sibling"), "25.0%");
 }
 
 TEST_F(TelemetryTest, JsonEscapeHandlesQuotesAndControlChars) {

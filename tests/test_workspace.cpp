@@ -1,12 +1,13 @@
 // Workspace-path correctness: the cached (allocation-free) forward and
-// backward passes must be BIT-IDENTICAL to the legacy allocating paths —
-// same outputs, same input gradients, same accumulated parameter
-// gradients — for every layer kind, and a warm steady-state pass must
-// perform zero tracked heap allocations.
+// backward passes must be BIT-IDENTICAL to the layer-by-layer
+// Sequential::forward/backward oracle — same outputs, same input
+// gradients, same accumulated parameter gradients — for every layer kind,
+// and a warm steady-state pass must perform zero tracked heap allocations.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 
 #include "nn/activations.hpp"
@@ -106,32 +107,52 @@ TEST(Workspace, GradientAccumulationMatchesLegacy) {
   }
 }
 
-TEST(Workspace, ReuseToggleFallsBackBitIdentically) {
-  Sequential a = make_zoo(19);
-  Sequential b = make_zoo(19);
-  Rng rng(23);
-  const Matrix x = Matrix::random_gaussian(5, 6, rng);
-  const Matrix g = Matrix::random_gaussian(5, 5, rng);
-  Workspace ws_on;
-  Workspace ws_off;
+// Cached forward/backward passes must fully overwrite everything they
+// read: warm a workspace at batch 8, poison every buffer with NaN/±inf,
+// then run batch 3 — the result must match a pristine workspace bit for
+// bit (a warm workspace is reused across minibatches of different sizes).
+TEST(Workspace, PoisonedPaddingDoesNotLeak) {
+  auto make_net = [] {
+    Rng rng(17);
+    return Mlp({5, 11, 3}, Activation::Tanh, rng);
+  };
+  Mlp warm_net = make_net();
+  Mlp fresh_net = make_net();
 
-  ASSERT_TRUE(workspace_reuse_enabled());  // default is on
-  a.zero_grad();
-  const Matrix out_on = a.forward_cached(x, ws_on);
-  const Matrix gin_on = a.backward_cached(g, ws_on);
+  Rng data_rng(19);
+  const Matrix big = Matrix::random_uniform(8, 5, data_rng);
+  const Matrix input = Matrix::random_uniform(3, 5, data_rng);
+  const Matrix grad_out = Matrix::random_uniform(3, 3, data_rng);
+  const Matrix big_grad(8, 3, 0.25);
 
-  set_workspace_reuse(false);
-  b.zero_grad();
-  const Matrix out_off = b.forward_cached(x, ws_off);
-  const Matrix gin_off = b.backward_cached(g, ws_off);
-  set_workspace_reuse(true);
+  Workspace warm_ws;
+  warm_net.forward_cached(big, warm_ws);
+  warm_net.backward_cached(big_grad, warm_ws);
+  warm_net.zero_grad();
 
-  EXPECT_TRUE(bitwise_equal(out_off, out_on));
-  EXPECT_TRUE(bitwise_equal(gin_off, gin_on));
-  auto ga = a.grads();
-  auto gb = b.grads();
-  for (std::size_t i = 0; i < ga.size(); ++i) {
-    EXPECT_TRUE(bitwise_equal(*gb[i], *ga[i])) << "grad " << i;
+  // Poison the warmed buffers: alternating NaN / +inf / -inf.
+  const double poisons[3] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  auto poison = [&](Matrix& m) {
+    for (std::size_t i = 0; i < m.size(); ++i) m[i] = poisons[i % 3];
+  };
+  for (std::size_t s = 0; s < warm_ws.num_slots(); ++s) {
+    poison(warm_ws.slot(s));
+  }
+  poison(warm_ws.grad(0));
+  poison(warm_ws.grad(1));
+
+  Workspace fresh_ws;
+  EXPECT_TRUE(bitwise_equal(warm_net.forward_cached(input, warm_ws),
+                            fresh_net.forward_cached(input, fresh_ws)));
+  EXPECT_TRUE(bitwise_equal(warm_net.backward_cached(grad_out, warm_ws),
+                            fresh_net.backward_cached(grad_out, fresh_ws)));
+  auto wg = warm_net.grads();
+  auto fg = fresh_net.grads();
+  ASSERT_EQ(wg.size(), fg.size());
+  for (std::size_t i = 0; i < wg.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(*wg[i], *fg[i])) << "grad " << i;
   }
 }
 

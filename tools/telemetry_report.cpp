@@ -9,8 +9,10 @@
 // general JSON parser. Truncated or interleaved lines (torn writes from
 // a crashed or concurrent run) are skipped and counted; the report still
 // renders from whatever parsed. `--strict` turns any skipped line into a
-// nonzero exit for CI use.
+// nonzero exit for CI use. A phase's share is its total over the total of
+// root spans (no parent_span_id), so nested phases are not counted twice.
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -52,6 +54,15 @@ bool extract_token(const std::string& line, const std::string& key,
   }
   out = line.substr(start, end - start);
   return true;
+}
+
+// Span ids are hex strings ("0x1f"); 0 (no parent) also for garbage.
+std::uint64_t parse_span_id(const std::string& token) {
+  try {
+    return std::stoull(token, nullptr, 16);
+  } catch (...) {
+    return 0;
+  }
 }
 
 bool extract_double(const std::string& line, const std::string& key,
@@ -156,6 +167,7 @@ int main(int argc, char** argv) {
   }
 
   std::map<std::string, PhaseAgg> phases;
+  double root_total_us = 0.0;  ///< share denominator: root spans only
   std::vector<std::pair<std::string, double>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistRow> histograms;
@@ -197,6 +209,12 @@ int main(int argc, char** argv) {
       ++agg.count;
       agg.total_us += dur;
       agg.max_us = std::max(agg.max_us, dur);
+      // Spans without causal ids (parent_span_id absent) are roots.
+      std::string parent;
+      if (!extract_token(line, "parent_span_id", parent) ||
+          parse_span_id(parent) == 0) {
+        root_total_us += dur;
+      }
     } else if (type == "counter") {
       double v = 0.0;
       extract_double(line, "value", v);
@@ -234,8 +252,6 @@ int main(int argc, char** argv) {
   }
 
   if (!phases.empty()) {
-    double grand_total = 0.0;
-    for (const auto& [name, agg] : phases) grand_total += agg.total_us;
     std::vector<std::pair<std::string, PhaseAgg>> sorted(phases.begin(),
                                                          phases.end());
     std::sort(sorted.begin(), sorted.end(),
@@ -253,8 +269,8 @@ int main(int argc, char** argv) {
                   agg.total_us / 1e3,
                   agg.total_us / 1e3 / static_cast<double>(agg.count),
                   agg.max_us / 1e3,
-                  grand_total > 0.0 ? 100.0 * agg.total_us / grand_total
-                                    : 0.0);
+                  root_total_us > 0.0 ? 100.0 * agg.total_us / root_total_us
+                                      : 0.0);
     }
   } else {
     std::printf("no span records in %s\n", path.c_str());
