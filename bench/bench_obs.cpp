@@ -24,6 +24,12 @@
 // slack, "_ok" boolean gates must keep holding, and everything else
 // (schemas, shapes, counts, exactness flags) must match exactly.
 //
+// Baselines of benches that record `hw_threads` are kept per hardware
+// class: for a fresh run on N threads, BASELINE.json names the family and
+// the snapshot read is BASELINE.hwN.json. A run is never judged against
+// another class; with no snapshot of its class, compare exits 77 (ctest's
+// SKIP_RETURN_CODE for the regression tests) and says why.
+//
 //   bench_obs --compare FRESH.json BASELINE.json
 //             [--tol 0.1] [--timing-tol 0.5] [--strict-timing]
 #include <algorithm>
@@ -352,14 +358,43 @@ KeyClass classify(const std::string& key) {
   return KeyClass::kExact;
 }
 
-int compare(const std::string& fresh_path, const std::string& base_path,
+/// Exit code of a compare that has no baseline of the fresh run's class.
+constexpr int kSkipExit = 77;
+
+/// BASELINE.json -> BASELINE.hwN.json: the snapshot of hardware class N.
+std::string class_baseline_path(const std::string& family,
+                                double hw_threads) {
+  const std::string suffix =
+      ".hw" + std::to_string(static_cast<long>(hw_threads));
+  const std::size_t dot = family.rfind(".json");
+  return dot == std::string::npos
+             ? family + suffix
+             : family.substr(0, dot) + suffix + family.substr(dot);
+}
+
+bool file_exists(const std::string& path) {
+  return static_cast<bool>(std::ifstream(path));
+}
+
+int compare(const std::string& fresh_path, const std::string& family_path,
             double tol, double timing_tol, bool strict_timing) {
   obs::JsonValue fresh_v;
   obs::JsonValue base_v;
-  if (!read_json_file(fresh_path, fresh_v) ||
-      !read_json_file(base_path, base_v)) {
-    return 2;
+  if (!read_json_file(fresh_path, fresh_v)) return 2;
+  const auto fresh_num = obs::flatten_numbers(fresh_v);
+  std::string base_path = family_path;
+  const auto fresh_hw = fresh_num.find("hw_threads");
+  if (fresh_hw != fresh_num.end()) {
+    base_path = class_baseline_path(family_path, fresh_hw->second);
+    if (!file_exists(base_path)) {
+      std::printf("SKIP  no baseline for hw_threads=%g (%s): baselines are "
+                  "per hardware class and a run is never compared across "
+                  "classes; add one with --out %s\n",
+                  fresh_hw->second, base_path.c_str(), base_path.c_str());
+      return kSkipExit;
+    }
   }
+  if (!read_json_file(base_path, base_v)) return 2;
 
   std::size_t failures = 0;
   std::size_t warnings = 0;
@@ -379,7 +414,6 @@ int compare(const std::string& fresh_path, const std::string& base_path,
     }
   }
 
-  const auto fresh_num = obs::flatten_numbers(fresh_v);
   for (const auto& [key, base] : obs::flatten_numbers(base_v)) {
     ++checked;
     const auto it = fresh_num.find(key);

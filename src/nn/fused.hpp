@@ -3,12 +3,16 @@
 // Two techniques, each the only production path:
 //
 //  * Fast activations: exp-based tanh/sigmoid/softmax-exp evaluated by a
-//    shared polynomial operation DAG with runtime AVX-512F / AVX2 / scalar
-//    dispatch. The three tiers execute the SAME per-element operation
-//    sequence (explicit mul-then-add, no FMA contraction), so results are
-//    bit-identical across tiers and across any batch composition — but NOT
-//    bit-identical to libm (absolute error < ~1e-15, checked against libm
-//    by tests/test_fused_kernels.cpp). The goldens are recorded with them.
+//    shared polynomial operation DAG. Every map here is one scalar loop,
+//    compiled once per SIMD tier through util/simd.hpp and dispatched to
+//    the host's tier; the libraries are built with -ffp-contract=off, so
+//    every tier runs the same per-element operation sequence (mul then
+//    add, never FMA) and is bit-identical to the `*_reference` oracle,
+//    which runs the same loop for the baseline ISA, on every input
+//    including NaN / ±0 / denormals, and for any batch composition. The
+//    fast activations are NOT bit-identical to libm (absolute error
+//    < ~1e-15, checked against libm by tests/test_fused_kernels.cpp); the
+//    goldens are recorded with them.
 //
 //  * Pass fusion on the Sequential workspace path: dense+bias+activation
 //    forward in one sweep, and the dGrad·dAct derivative map fused with
@@ -17,15 +21,12 @@
 //    to the layer-by-layer Sequential::forward/backward (enforced by
 //    tests/test_fused_kernels.cpp against those and the *_reference
 //    oracles).
-//
-// ReLU-family maps and the pure-arithmetic derivative maps are SIMD'd
-// unconditionally: they are bit-identical to the naive scalar loops by
-// construction (including NaN and signed-zero semantics).
 #pragma once
 
 #include <cstddef>
 
 #include "tensor/matrix.hpp"
+#include "util/simd.hpp"
 
 namespace fedra {
 
@@ -37,10 +38,8 @@ namespace fedra {
 enum class FusedAct { Tanh, Sigmoid };
 
 // ---------------------------------------------------------------------------
-// Vectorized transcendental maps (runtime AVX-512F / AVX2 / scalar
-// dispatch; in-place allowed, i.e. out may equal x). Each has a scalar
-// `_reference` executing the identical operation DAG — the oracle the
-// dispatch tiers must match bit-for-bit.
+// Vectorized transcendental maps (in-place allowed, i.e. out may equal x).
+// Each `_reference` evaluates the same operation DAG for one element.
 // ---------------------------------------------------------------------------
 
 /// Saturating exp: the argument is clamped to [-745, 709] (full double
@@ -56,9 +55,7 @@ void fast_sigmoid_map(const double* x, double* out, std::size_t n);
 double fast_sigmoid_reference(double x);
 
 // ---------------------------------------------------------------------------
-// ReLU-family forward maps and activation derivative maps: SIMD with
-// exact scalar semantics (bit-identical to the reference loops for every
-// input including NaN / ±0 / denormals).
+// ReLU-family forward maps and activation derivative maps.
 // ---------------------------------------------------------------------------
 
 void relu_map(const double* x, double* out, std::size_t n);
@@ -117,5 +114,27 @@ void act_backward_colsum_into(const Matrix& g, const Matrix& y, FusedAct act,
 void act_backward_colsum_into_reference(const Matrix& g, const Matrix& y,
                                         FusedAct act, Matrix& dpre,
                                         Matrix& colsum);
+
+/// Every map above, and the fused backward row, as compiled for one SIMD
+/// tier. The maps and fused passes above run the host tier's entry; the
+/// `*_reference` passes run the scalar entry; tests run every tier the host
+/// executes.
+struct FusedKernels {
+  decltype(&fast_exp_map) exp_map;
+  decltype(&fast_tanh_map) tanh_map;
+  decltype(&fast_sigmoid_map) sigmoid_map;
+  decltype(&fedra::relu_map) relu_map;
+  decltype(&fedra::leaky_relu_map) leaky_relu_map;
+  decltype(&fedra::relu_backward_map) relu_backward_map;
+  decltype(&fedra::leaky_relu_backward_map) leaky_relu_backward_map;
+  decltype(&fedra::tanh_backward_map) tanh_backward_map;
+  decltype(&fedra::sigmoid_backward_map) sigmoid_backward_map;
+  /// One row of act_backward_colsum_into: d = g ⊙ act'(y), cs += d.
+  void (*tanh_backward_colsum_row)(const double* g, const double* y,
+                                   double* d, double* cs, std::size_t n);
+  void (*sigmoid_backward_colsum_row)(const double* g, const double* y,
+                                      double* d, double* cs, std::size_t n);
+};
+const FusedKernels& fused_kernels(simd::Tier tier);
 
 }  // namespace fedra

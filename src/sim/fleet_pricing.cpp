@@ -1,50 +1,107 @@
 #include "sim/fleet_pricing.hpp"
 
-#include <algorithm>
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define FEDRA_FLEET_X86_SIMD 1
-#include <immintrin.h>
-#else
-#define FEDRA_FLEET_X86_SIMD 0
-#endif
-
 namespace fedra::fleet {
 
 namespace {
 
-/// 0 = scalar, 1 = AVX2, 2 = AVX-512F. Cached once per process.
-int detect_tier() {
-#if FEDRA_FLEET_X86_SIMD
-  if (__builtin_cpu_supports("avx512f")) return 2;
-  if (__builtin_cpu_supports("avx2")) return 1;
-#endif
-  return 0;
+// ---- Kernel bodies -----------------------------------------------------
+//
+// Operation-for-operation the DeviceProfile member math: the clamp is
+// std::clamp(f, frac*max, max) spelled out on values, t_cmp is
+// ((tau*c)*D)/f, E_cmp is ((((tau*alpha)*c)*D)*f)*f — matching
+// compute_time()/compute_energy() left-to-right evaluation so the columnar
+// path is bit-exact against the per-device AoS loop. Selects instead of
+// branches let every tier vectorize them; lanes are independent devices.
+
+/// std::clamp(v, lo, hi) by value, NaN semantics included.
+FEDRA_ALWAYS_INLINE double clamp(double v, double lo, double hi) {
+  return v < lo ? lo : (hi < v ? hi : v);
 }
 
-int tier() {
-  static const int t = detect_tier();
-  return t;
+FEDRA_ALWAYS_INLINE void price_compute_body(
+    std::size_t n, double tau, double min_freq_fraction,
+    const double* __restrict cycles_per_bit,
+    const double* __restrict dataset_bits,
+    const double* __restrict capacitance,
+    const double* __restrict max_freq_hz, const double* __restrict freqs_in,
+    double* __restrict freq_hz, double* __restrict compute_time,
+    double* __restrict compute_energy) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double f = clamp(freqs_in[i], min_freq_fraction * max_freq_hz[i],
+                           max_freq_hz[i]);
+    freq_hz[i] = f;
+    compute_time[i] = tau * cycles_per_bit[i] * dataset_bits[i] / f;
+    compute_energy[i] =
+        tau * capacitance[i] * cycles_per_bit[i] * dataset_bits[i] * f * f;
+  }
+}
+
+FEDRA_ALWAYS_INLINE void deadline_freqs_body(
+    std::size_t n, double tau, double min_freq_fraction, double deadline,
+    const double* __restrict cycles_per_bit,
+    const double* __restrict dataset_bits,
+    const double* __restrict max_freq_hz,
+    const double* __restrict est_comm_times, double* __restrict freqs_out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double budget = deadline - est_comm_times[i];
+    // A device that cannot make the deadline runs flat out.
+    const double f = budget <= 0.0
+                         ? max_freq_hz[i]
+                         : tau * cycles_per_bit[i] * dataset_bits[i] / budget;
+    freqs_out[i] =
+        clamp(f, min_freq_fraction * max_freq_hz[i], max_freq_hz[i]);
+  }
+}
+
+FEDRA_ALWAYS_INLINE void predicted_terms_body(
+    std::size_t n, double tau, const double* __restrict cycles_per_bit,
+    const double* __restrict dataset_bits,
+    const double* __restrict capacitance, const double* __restrict tx_power_w,
+    const double* __restrict est_comm_times,
+    const double* __restrict freqs_hz, double* __restrict time_out,
+    double* __restrict energy_out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const double tcmp = tau * cycles_per_bit[i] * dataset_bits[i] / freqs_hz[i];
+    time_out[i] = tcmp + est_comm_times[i];
+    const double ce = tau * capacitance[i] * cycles_per_bit[i] *
+                      dataset_bits[i] * freqs_hz[i] * freqs_hz[i];
+    energy_out[i] = ce + tx_power_w[i] * est_comm_times[i];
+  }
+}
+
+constexpr PricingKernels kernels_for(simd::Tier tier) {
+  return {simd::PerTier<&price_compute_body>::at(tier),
+          simd::PerTier<&deadline_freqs_body>::at(tier),
+          simd::PerTier<&predicted_terms_body>::at(tier)};
+}
+
+constexpr PricingKernels kKernels[simd::kNumTiers] = {
+    kernels_for(simd::Tier::kScalar), kernels_for(simd::Tier::kAvx2),
+    kernels_for(simd::Tier::kAvx512)};
+
+const PricingKernels& host_kernels() {
+  static const PricingKernels& k = pricing_kernels(simd::host_tier());
+  return k;
 }
 
 }  // namespace
 
-const char* simd_tier() {
-  switch (tier()) {
-    case 2: return "avx512f";
-    case 1: return "avx2";
-    default: return "scalar";
-  }
+const PricingKernels& pricing_kernels(simd::Tier tier) {
+  return kKernels[static_cast<std::size_t>(tier)];
 }
 
-// ---- Scalar references -------------------------------------------------
-//
-// Operation-for-operation the DeviceProfile member math: the clamp is
-// std::clamp(f, frac*max, max), t_cmp is ((tau*c)*D)/f, E_cmp is
-// ((((tau*alpha)*c)*D)*f)*f — matching compute_time()/compute_energy()
-// left-to-right evaluation so the columnar path is bit-exact against the
-// per-device AoS loop. These also serve as the tail handlers of the SIMD
-// dispatchers; they are compiled for the baseline ISA, so no contraction.
+const char* simd_tier() { return simd::tier_name(simd::host_tier()); }
+
+void price_compute(std::size_t n, double tau, double min_freq_fraction,
+                   const double* cycles_per_bit, const double* dataset_bits,
+                   const double* capacitance, const double* max_freq_hz,
+                   const double* freqs_in, double* freq_hz,
+                   double* compute_time, double* compute_energy) {
+  host_kernels().price_compute(n, tau, min_freq_fraction, cycles_per_bit,
+                               dataset_bits, capacitance, max_freq_hz,
+                               freqs_in, freq_hz, compute_time,
+                               compute_energy);
+}
 
 void price_compute_reference(std::size_t n, double tau,
                              double min_freq_fraction,
@@ -54,14 +111,18 @@ void price_compute_reference(std::size_t n, double tau,
                              const double* max_freq_hz,
                              const double* freqs_in, double* freq_hz,
                              double* compute_time, double* compute_energy) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double floor_hz = min_freq_fraction * max_freq_hz[i];
-    const double f = std::clamp(freqs_in[i], floor_hz, max_freq_hz[i]);
-    freq_hz[i] = f;
-    compute_time[i] = tau * cycles_per_bit[i] * dataset_bits[i] / f;
-    compute_energy[i] =
-        tau * capacitance[i] * cycles_per_bit[i] * dataset_bits[i] * f * f;
-  }
+  price_compute_body(n, tau, min_freq_fraction, cycles_per_bit, dataset_bits,
+                     capacitance, max_freq_hz, freqs_in, freq_hz,
+                     compute_time, compute_energy);
+}
+
+void deadline_freqs(std::size_t n, double tau, double min_freq_fraction,
+                    double deadline, const double* cycles_per_bit,
+                    const double* dataset_bits, const double* max_freq_hz,
+                    const double* est_comm_times, double* freqs_out) {
+  host_kernels().deadline_freqs(n, tau, min_freq_fraction, deadline,
+                                cycles_per_bit, dataset_bits, max_freq_hz,
+                                est_comm_times, freqs_out);
 }
 
 void deadline_freqs_reference(std::size_t n, double tau,
@@ -71,17 +132,18 @@ void deadline_freqs_reference(std::size_t n, double tau,
                               const double* max_freq_hz,
                               const double* est_comm_times,
                               double* freqs_out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double floor_hz = min_freq_fraction * max_freq_hz[i];
-    const double budget = deadline - est_comm_times[i];
-    double f;
-    if (budget <= 0.0) {
-      f = max_freq_hz[i];  // cannot make the deadline; run flat out
-    } else {
-      f = tau * cycles_per_bit[i] * dataset_bits[i] / budget;
-    }
-    freqs_out[i] = std::clamp(f, floor_hz, max_freq_hz[i]);
-  }
+  deadline_freqs_body(n, tau, min_freq_fraction, deadline, cycles_per_bit,
+                      dataset_bits, max_freq_hz, est_comm_times, freqs_out);
+}
+
+void predicted_terms(std::size_t n, double tau, const double* cycles_per_bit,
+                     const double* dataset_bits, const double* capacitance,
+                     const double* tx_power_w, const double* est_comm_times,
+                     const double* freqs_hz, double* time_out,
+                     double* energy_out) {
+  host_kernels().predicted_terms(n, tau, cycles_per_bit, dataset_bits,
+                                 capacitance, tx_power_w, est_comm_times,
+                                 freqs_hz, time_out, energy_out);
 }
 
 void predicted_terms_reference(std::size_t n, double tau,
@@ -92,270 +154,9 @@ void predicted_terms_reference(std::size_t n, double tau,
                                const double* est_comm_times,
                                const double* freqs_hz, double* time_out,
                                double* energy_out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double tcmp = tau * cycles_per_bit[i] * dataset_bits[i] / freqs_hz[i];
-    time_out[i] = tcmp + est_comm_times[i];
-    const double ce = tau * capacitance[i] * cycles_per_bit[i] *
-                      dataset_bits[i] * freqs_hz[i] * freqs_hz[i];
-    energy_out[i] = ce + tx_power_w[i] * est_comm_times[i];
-  }
-}
-
-// ---- SIMD tiers --------------------------------------------------------
-
-#if FEDRA_FLEET_X86_SIMD
-
-// GCC's _mm512_min_pd/_mm512_max_pd pass _mm512_undefined_pd() as the
-// masked-off source, tripping -Wmaybe-uninitialized when inlined here even
-// though every lane is selected.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-
-// Each kernel processes only whole vectors (n a multiple of the width);
-// the dispatcher routes the remainder through the baseline-compiled scalar
-// reference so no tail arithmetic runs under a wider target attribute
-// (where the compiler could contract scalar mul+add into FMA).
-//
-// min/max replace std::clamp lane-wise: identical for finite inputs, and
-// the engine's frequency actions are finite by contract.
-
-__attribute__((target("avx2"))) void price_compute_avx2(
-    std::size_t n, double tau, double min_freq_fraction,
-    const double* cycles_per_bit, const double* dataset_bits,
-    const double* capacitance, const double* max_freq_hz,
-    const double* freqs_in, double* freq_hz, double* compute_time,
-    double* compute_energy) {
-  const __m256d vtau = _mm256_set1_pd(tau);
-  const __m256d vfrac = _mm256_set1_pd(min_freq_fraction);
-  for (std::size_t i = 0; i < n; i += 4) {
-    const __m256d c = _mm256_loadu_pd(cycles_per_bit + i);
-    const __m256d d = _mm256_loadu_pd(dataset_bits + i);
-    const __m256d cap = _mm256_loadu_pd(capacitance + i);
-    const __m256d fmax = _mm256_loadu_pd(max_freq_hz + i);
-    const __m256d fin = _mm256_loadu_pd(freqs_in + i);
-    const __m256d floor_hz = _mm256_mul_pd(vfrac, fmax);
-    const __m256d f = _mm256_min_pd(_mm256_max_pd(fin, floor_hz), fmax);
-    const __m256d cd = _mm256_mul_pd(_mm256_mul_pd(vtau, c), d);
-    const __m256d e = _mm256_mul_pd(
-        _mm256_mul_pd(
-            _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(vtau, cap), c), d), f),
-        f);
-    _mm256_storeu_pd(freq_hz + i, f);
-    _mm256_storeu_pd(compute_time + i, _mm256_div_pd(cd, f));
-    _mm256_storeu_pd(compute_energy + i, e);
-  }
-}
-
-__attribute__((target("avx512f"))) void price_compute_avx512(
-    std::size_t n, double tau, double min_freq_fraction,
-    const double* cycles_per_bit, const double* dataset_bits,
-    const double* capacitance, const double* max_freq_hz,
-    const double* freqs_in, double* freq_hz, double* compute_time,
-    double* compute_energy) {
-  const __m512d vtau = _mm512_set1_pd(tau);
-  const __m512d vfrac = _mm512_set1_pd(min_freq_fraction);
-  for (std::size_t i = 0; i < n; i += 8) {
-    const __m512d c = _mm512_loadu_pd(cycles_per_bit + i);
-    const __m512d d = _mm512_loadu_pd(dataset_bits + i);
-    const __m512d cap = _mm512_loadu_pd(capacitance + i);
-    const __m512d fmax = _mm512_loadu_pd(max_freq_hz + i);
-    const __m512d fin = _mm512_loadu_pd(freqs_in + i);
-    const __m512d floor_hz = _mm512_mul_pd(vfrac, fmax);
-    const __m512d f = _mm512_min_pd(_mm512_max_pd(fin, floor_hz), fmax);
-    const __m512d cd = _mm512_mul_pd(_mm512_mul_pd(vtau, c), d);
-    const __m512d e = _mm512_mul_pd(
-        _mm512_mul_pd(
-            _mm512_mul_pd(_mm512_mul_pd(_mm512_mul_pd(vtau, cap), c), d), f),
-        f);
-    _mm512_storeu_pd(freq_hz + i, f);
-    _mm512_storeu_pd(compute_time + i, _mm512_div_pd(cd, f));
-    _mm512_storeu_pd(compute_energy + i, e);
-  }
-}
-
-__attribute__((target("avx2"))) void deadline_freqs_avx2(
-    std::size_t n, double tau, double min_freq_fraction, double deadline,
-    const double* cycles_per_bit, const double* dataset_bits,
-    const double* max_freq_hz, const double* est_comm_times,
-    double* freqs_out) {
-  const __m256d vtau = _mm256_set1_pd(tau);
-  const __m256d vfrac = _mm256_set1_pd(min_freq_fraction);
-  const __m256d vdl = _mm256_set1_pd(deadline);
-  const __m256d vzero = _mm256_setzero_pd();
-  for (std::size_t i = 0; i < n; i += 4) {
-    const __m256d c = _mm256_loadu_pd(cycles_per_bit + i);
-    const __m256d d = _mm256_loadu_pd(dataset_bits + i);
-    const __m256d fmax = _mm256_loadu_pd(max_freq_hz + i);
-    const __m256d est = _mm256_loadu_pd(est_comm_times + i);
-    const __m256d budget = _mm256_sub_pd(vdl, est);
-    const __m256d cd = _mm256_mul_pd(_mm256_mul_pd(vtau, c), d);
-    const __m256d fdiv = _mm256_div_pd(cd, budget);
-    const __m256d infeasible = _mm256_cmp_pd(budget, vzero, _CMP_LE_OQ);
-    const __m256d f = _mm256_blendv_pd(fdiv, fmax, infeasible);
-    const __m256d floor_hz = _mm256_mul_pd(vfrac, fmax);
-    _mm256_storeu_pd(freqs_out + i,
-                     _mm256_min_pd(_mm256_max_pd(f, floor_hz), fmax));
-  }
-}
-
-__attribute__((target("avx512f"))) void deadline_freqs_avx512(
-    std::size_t n, double tau, double min_freq_fraction, double deadline,
-    const double* cycles_per_bit, const double* dataset_bits,
-    const double* max_freq_hz, const double* est_comm_times,
-    double* freqs_out) {
-  const __m512d vtau = _mm512_set1_pd(tau);
-  const __m512d vfrac = _mm512_set1_pd(min_freq_fraction);
-  const __m512d vdl = _mm512_set1_pd(deadline);
-  const __m512d vzero = _mm512_setzero_pd();
-  for (std::size_t i = 0; i < n; i += 8) {
-    const __m512d c = _mm512_loadu_pd(cycles_per_bit + i);
-    const __m512d d = _mm512_loadu_pd(dataset_bits + i);
-    const __m512d fmax = _mm512_loadu_pd(max_freq_hz + i);
-    const __m512d est = _mm512_loadu_pd(est_comm_times + i);
-    const __m512d budget = _mm512_sub_pd(vdl, est);
-    const __m512d cd = _mm512_mul_pd(_mm512_mul_pd(vtau, c), d);
-    const __m512d fdiv = _mm512_div_pd(cd, budget);
-    const __mmask8 infeasible =
-        _mm512_cmp_pd_mask(budget, vzero, _CMP_LE_OQ);
-    const __m512d f = _mm512_mask_blend_pd(infeasible, fdiv, fmax);
-    const __m512d floor_hz = _mm512_mul_pd(vfrac, fmax);
-    _mm512_storeu_pd(freqs_out + i,
-                     _mm512_min_pd(_mm512_max_pd(f, floor_hz), fmax));
-  }
-}
-
-__attribute__((target("avx2"))) void predicted_terms_avx2(
-    std::size_t n, double tau, const double* cycles_per_bit,
-    const double* dataset_bits, const double* capacitance,
-    const double* tx_power_w, const double* est_comm_times,
-    const double* freqs_hz, double* time_out, double* energy_out) {
-  const __m256d vtau = _mm256_set1_pd(tau);
-  for (std::size_t i = 0; i < n; i += 4) {
-    const __m256d c = _mm256_loadu_pd(cycles_per_bit + i);
-    const __m256d d = _mm256_loadu_pd(dataset_bits + i);
-    const __m256d cap = _mm256_loadu_pd(capacitance + i);
-    const __m256d tx = _mm256_loadu_pd(tx_power_w + i);
-    const __m256d est = _mm256_loadu_pd(est_comm_times + i);
-    const __m256d f = _mm256_loadu_pd(freqs_hz + i);
-    const __m256d cd = _mm256_mul_pd(_mm256_mul_pd(vtau, c), d);
-    const __m256d tcmp = _mm256_div_pd(cd, f);
-    _mm256_storeu_pd(time_out + i, _mm256_add_pd(tcmp, est));
-    const __m256d ce = _mm256_mul_pd(
-        _mm256_mul_pd(
-            _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(vtau, cap), c), d), f),
-        f);
-    __m256d cme = _mm256_mul_pd(tx, est);
-    __asm__("" : "+x"(cme));  // keep mul/add unfused
-    _mm256_storeu_pd(energy_out + i, _mm256_add_pd(ce, cme));
-  }
-}
-
-__attribute__((target("avx512f"))) void predicted_terms_avx512(
-    std::size_t n, double tau, const double* cycles_per_bit,
-    const double* dataset_bits, const double* capacitance,
-    const double* tx_power_w, const double* est_comm_times,
-    const double* freqs_hz, double* time_out, double* energy_out) {
-  const __m512d vtau = _mm512_set1_pd(tau);
-  for (std::size_t i = 0; i < n; i += 8) {
-    const __m512d c = _mm512_loadu_pd(cycles_per_bit + i);
-    const __m512d d = _mm512_loadu_pd(dataset_bits + i);
-    const __m512d cap = _mm512_loadu_pd(capacitance + i);
-    const __m512d tx = _mm512_loadu_pd(tx_power_w + i);
-    const __m512d est = _mm512_loadu_pd(est_comm_times + i);
-    const __m512d f = _mm512_loadu_pd(freqs_hz + i);
-    const __m512d cd = _mm512_mul_pd(_mm512_mul_pd(vtau, c), d);
-    const __m512d tcmp = _mm512_div_pd(cd, f);
-    _mm512_storeu_pd(time_out + i, _mm512_add_pd(tcmp, est));
-    const __m512d ce = _mm512_mul_pd(
-        _mm512_mul_pd(
-            _mm512_mul_pd(_mm512_mul_pd(_mm512_mul_pd(vtau, cap), c), d), f),
-        f);
-    __m512d cme = _mm512_mul_pd(tx, est);
-    __asm__("" : "+v"(cme));  // keep mul/add unfused
-    _mm512_storeu_pd(energy_out + i, _mm512_add_pd(ce, cme));
-  }
-}
-
-#pragma GCC diagnostic pop
-
-#endif  // FEDRA_FLEET_X86_SIMD
-
-// ---- Dispatchers -------------------------------------------------------
-
-void price_compute(std::size_t n, double tau, double min_freq_fraction,
-                   const double* cycles_per_bit, const double* dataset_bits,
-                   const double* capacitance, const double* max_freq_hz,
-                   const double* freqs_in, double* freq_hz,
-                   double* compute_time, double* compute_energy) {
-  std::size_t head = 0;
-#if FEDRA_FLEET_X86_SIMD
-  if (tier() == 2) {
-    head = n & ~std::size_t{7};
-    price_compute_avx512(head, tau, min_freq_fraction, cycles_per_bit,
-                         dataset_bits, capacitance, max_freq_hz, freqs_in,
-                         freq_hz, compute_time, compute_energy);
-  } else if (tier() == 1) {
-    head = n & ~std::size_t{3};
-    price_compute_avx2(head, tau, min_freq_fraction, cycles_per_bit,
-                       dataset_bits, capacitance, max_freq_hz, freqs_in,
-                       freq_hz, compute_time, compute_energy);
-  }
-#endif
-  price_compute_reference(n - head, tau, min_freq_fraction,
-                          cycles_per_bit + head, dataset_bits + head,
-                          capacitance + head, max_freq_hz + head,
-                          freqs_in + head, freq_hz + head,
-                          compute_time + head, compute_energy + head);
-}
-
-void deadline_freqs(std::size_t n, double tau, double min_freq_fraction,
-                    double deadline, const double* cycles_per_bit,
-                    const double* dataset_bits, const double* max_freq_hz,
-                    const double* est_comm_times, double* freqs_out) {
-  std::size_t head = 0;
-#if FEDRA_FLEET_X86_SIMD
-  if (tier() == 2) {
-    head = n & ~std::size_t{7};
-    deadline_freqs_avx512(head, tau, min_freq_fraction, deadline,
-                          cycles_per_bit, dataset_bits, max_freq_hz,
-                          est_comm_times, freqs_out);
-  } else if (tier() == 1) {
-    head = n & ~std::size_t{3};
-    deadline_freqs_avx2(head, tau, min_freq_fraction, deadline,
-                        cycles_per_bit, dataset_bits, max_freq_hz,
-                        est_comm_times, freqs_out);
-  }
-#endif
-  deadline_freqs_reference(n - head, tau, min_freq_fraction, deadline,
-                           cycles_per_bit + head, dataset_bits + head,
-                           max_freq_hz + head, est_comm_times + head,
-                           freqs_out + head);
-}
-
-void predicted_terms(std::size_t n, double tau, const double* cycles_per_bit,
-                     const double* dataset_bits, const double* capacitance,
-                     const double* tx_power_w, const double* est_comm_times,
-                     const double* freqs_hz, double* time_out,
-                     double* energy_out) {
-  std::size_t head = 0;
-#if FEDRA_FLEET_X86_SIMD
-  if (tier() == 2) {
-    head = n & ~std::size_t{7};
-    predicted_terms_avx512(head, tau, cycles_per_bit, dataset_bits,
-                           capacitance, tx_power_w, est_comm_times, freqs_hz,
-                           time_out, energy_out);
-  } else if (tier() == 1) {
-    head = n & ~std::size_t{3};
-    predicted_terms_avx2(head, tau, cycles_per_bit, dataset_bits, capacitance,
-                         tx_power_w, est_comm_times, freqs_hz, time_out,
-                         energy_out);
-  }
-#endif
-  predicted_terms_reference(n - head, tau, cycles_per_bit + head,
-                            dataset_bits + head, capacitance + head,
-                            tx_power_w + head, est_comm_times + head,
-                            freqs_hz + head, time_out + head,
-                            energy_out + head);
+  predicted_terms_body(n, tau, cycles_per_bit, dataset_bits, capacitance,
+                       tx_power_w, est_comm_times, freqs_hz, time_out,
+                       energy_out);
 }
 
 }  // namespace fedra::fleet

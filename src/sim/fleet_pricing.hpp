@@ -1,22 +1,25 @@
 // Vectorized fleet pricing kernels — Eqs. (1)/(6) and the deadline-solver
 // per-device math evaluated across structure-of-arrays device columns.
 //
-// Same discipline as the PR 4 GEMM kernels (src/tensor/ops.cpp): each
-// entry point dispatches at runtime to an AVX-512F / AVX2 / scalar
-// implementation compiled via per-function target attributes, and every
-// tier is bit-identical to the scalar reference (`*_reference`), which is
-// the oracle the property tests and the fleet bench compare against. The
-// kernels are pure element-wise maps (no cross-lane reductions), so SIMD
-// width never touches summation order; the two places a multiply feeds an
-// add use the separate-mul-add + asm-barrier idiom so no tier contracts
-// into FMA (a fused a*b+c rounds once instead of twice).
+// Each kernel is one scalar loop, compiled once per SIMD tier through
+// util/simd.hpp and dispatched to the host's tier. The `*_reference`
+// functions run the same loop for the baseline ISA: they are the oracle
+// the property tests and the fleet bench compare against. Every tier is
+// bit-identical to the oracle for every input, NaN and ±inf included: the
+// loops are pure element-wise maps (no cross-lane reductions, so SIMD
+// width never touches summation order), their clamps are selects with
+// std::clamp's semantics, and the libraries are built with
+// -ffp-contract=off, so no tier fuses a multiply and an add.
 //
 // All functions take raw column pointers (length n) rather than spans so
 // tests can poison the padding beyond n and assert the kernels never read
-// or write it.
+// or write it. No output column may overlap any other column of the same
+// call: the kernels are compiled on that assumption (`__restrict`).
 #pragma once
 
 #include <cstddef>
+
+#include "util/simd.hpp"
 
 namespace fedra::fleet {
 
@@ -71,6 +74,15 @@ void predicted_terms_reference(std::size_t n, double tau,
                                const double* est_comm_times,
                                const double* freqs_hz, double* time_out,
                                double* energy_out);
+
+/// The three kernels as compiled for one SIMD tier. The functions above
+/// run the host tier's entry; tests run every tier the host executes.
+struct PricingKernels {
+  decltype(&fleet::price_compute) price_compute;
+  decltype(&fleet::deadline_freqs) deadline_freqs;
+  decltype(&fleet::predicted_terms) predicted_terms;
+};
+const PricingKernels& pricing_kernels(simd::Tier tier);
 
 /// Widest tier this CPU dispatches to: "avx512f", "avx2", or "scalar"
 /// (bench reporting; tier choice never affects bits).

@@ -4,13 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define FEDRA_GEMM_X86_SIMD 1
-#include <immintrin.h>
-#else
-#define FEDRA_GEMM_X86_SIMD 0
-#endif
-
 namespace fedra {
 
 namespace {
@@ -26,13 +19,11 @@ namespace {
 // order starting from +0.0, which is what keeps the blocked kernels
 // bit-identical to the reference loops (and the golden trajectory valid).
 //
-// Because the repo builds for baseline x86-64 (SSE2) by default, the full
-// tiles dispatch at runtime to AVX-512F / AVX2 micro-kernels compiled via
-// per-function target attributes. SIMD lanes hold distinct j columns, so
-// per-element term order is untouched; the kernels use separate mul and
-// add (never FMA — a fused a*b+c rounds once instead of twice), with an
-// empty asm barrier on the product so the compiler cannot contract the
-// pair even on ISAs whose feature set includes FMA.
+// The full register tile is one scalar body compiled once per SIMD tier
+// (util/simd.hpp): 8x8 for AVX-512F, 4x8 for AVX2, 4x4 for the baseline
+// ISA. Vectorized lanes hold distinct j columns, so per-element term order
+// is untouched, and -ffp-contract=off keeps each term a separate multiply
+// and add (a fused a*b+c rounds once instead of twice).
 constexpr std::size_t kKC = 128;  ///< k extent of a cache block
 constexpr std::size_t kNC = 256;  ///< j extent of a cache block (packed B)
 // kNC must be a multiple of every tier's NR so pack panels never overflow.
@@ -73,87 +64,58 @@ void pack_b_block(const double* b, std::size_t ldb, BPack mode,
   }
 }
 
-/// Full register tile, portable form: acc[ii][jj] += a(ii, kk) *
-/// panel[kk][jj] for kk ascending, on top of the partial sums C already
-/// holds from earlier k blocks. Fixed trip counts so the compiler unrolls
-/// the jj loop; the per-element term order is exactly the reference
+/// Full register tile: acc[ii][jj] += a(ii, kk) * panel[kk][jj] for kk
+/// ascending, on top of the partial sums C already holds from earlier k
+/// blocks. Fully unrolled fixed trip counts let each tier keep the tile in
+/// vector registers; the per-element term order is exactly the reference
 /// kernel's.
 template <std::size_t MR, std::size_t NR>
-void micro_full_generic(std::size_t kc, const double* a, std::size_t a_rs,
-                        std::size_t a_cs, const double* bp, double* c,
-                        std::size_t ldc) {
+FEDRA_ALWAYS_INLINE void micro_full_generic(std::size_t kc, const double* a,
+                                            std::size_t a_rs,
+                                            std::size_t a_cs,
+                                            const double* bp, double* c,
+                                            std::size_t ldc) {
   double acc[MR][NR];
+#pragma GCC unroll 8
   for (std::size_t ii = 0; ii < MR; ++ii) {
+#pragma GCC unroll 8
     for (std::size_t jj = 0; jj < NR; ++jj) acc[ii][jj] = c[ii * ldc + jj];
   }
   for (std::size_t kk = 0; kk < kc; ++kk) {
     const double* b = bp + kk * NR;
+#pragma GCC unroll 8
     for (std::size_t ii = 0; ii < MR; ++ii) {
       const double av = a[ii * a_rs + kk * a_cs];
+#pragma GCC unroll 8
       for (std::size_t jj = 0; jj < NR; ++jj) acc[ii][jj] += av * b[jj];
     }
   }
+#pragma GCC unroll 8
   for (std::size_t ii = 0; ii < MR; ++ii) {
+#pragma GCC unroll 8
     for (std::size_t jj = 0; jj < NR; ++jj) c[ii * ldc + jj] = acc[ii][jj];
   }
 }
 
-#if FEDRA_GEMM_X86_SIMD
-/// AVX2 4x8 tile. target("avx2") deliberately omits "fma": the ISA the
-/// compiler sees has no fused multiply-add, so mul+add cannot contract and
-/// every term rounds exactly like the scalar kernel. Lanes are distinct j
-/// columns; kk still ascends one term at a time.
-__attribute__((target("avx2"))) void micro_full_avx2(
-    std::size_t kc, const double* a, std::size_t a_rs, std::size_t a_cs,
-    const double* bp, double* c, std::size_t ldc) {
-  __m256d acc[4][2];
-  for (std::size_t ii = 0; ii < 4; ++ii) {
-    acc[ii][0] = _mm256_loadu_pd(c + ii * ldc);
-    acc[ii][1] = _mm256_loadu_pd(c + ii * ldc + 4);
-  }
-  for (std::size_t kk = 0; kk < kc; ++kk) {
-    const __m256d b0 = _mm256_loadu_pd(bp + kk * 8);
-    const __m256d b1 = _mm256_loadu_pd(bp + kk * 8 + 4);
-    for (std::size_t ii = 0; ii < 4; ++ii) {
-      const __m256d av = _mm256_broadcast_sd(a + ii * a_rs + kk * a_cs);
-      __m256d t0 = _mm256_mul_pd(av, b0);
-      __m256d t1 = _mm256_mul_pd(av, b1);
-      __asm__("" : "+x"(t0), "+x"(t1));  // keep mul/add unfused
-      acc[ii][0] = _mm256_add_pd(acc[ii][0], t0);
-      acc[ii][1] = _mm256_add_pd(acc[ii][1], t1);
-    }
-  }
-  for (std::size_t ii = 0; ii < 4; ++ii) {
-    _mm256_storeu_pd(c + ii * ldc, acc[ii][0]);
-    _mm256_storeu_pd(c + ii * ldc + 4, acc[ii][1]);
-  }
+void micro_full_scalar(std::size_t kc, const double* a, std::size_t a_rs,
+                       std::size_t a_cs, const double* bp, double* c,
+                       std::size_t ldc) {
+  micro_full_generic<4, 4>(kc, a, a_rs, a_cs, bp, c, ldc);
 }
 
-/// AVX-512F 8x8 tile. AVX-512F itself includes FMA encodings, so here the
-/// asm barrier on the product is what guarantees the compiler emits
-/// separate vmulpd/vaddpd (verified: contraction produces bit-different
-/// sums AND ~53k mismatches vs the scalar kernel on a 256^3 product).
-__attribute__((target("avx512f"))) void micro_full_avx512(
-    std::size_t kc, const double* a, std::size_t a_rs, std::size_t a_cs,
-    const double* bp, double* c, std::size_t ldc) {
-  __m512d acc[8];
-  for (std::size_t ii = 0; ii < 8; ++ii) {
-    acc[ii] = _mm512_loadu_pd(c + ii * ldc);
-  }
-  for (std::size_t kk = 0; kk < kc; ++kk) {
-    const __m512d b0 = _mm512_loadu_pd(bp + kk * 8);
-    for (std::size_t ii = 0; ii < 8; ++ii) {
-      const __m512d av = _mm512_set1_pd(a[ii * a_rs + kk * a_cs]);
-      __m512d t = _mm512_mul_pd(av, b0);
-      __asm__("" : "+v"(t));  // keep mul/add unfused
-      acc[ii] = _mm512_add_pd(acc[ii], t);
-    }
-  }
-  for (std::size_t ii = 0; ii < 8; ++ii) {
-    _mm512_storeu_pd(c + ii * ldc, acc[ii]);
-  }
+FEDRA_TARGET("avx2")
+void micro_full_avx2(std::size_t kc, const double* a, std::size_t a_rs,
+                     std::size_t a_cs, const double* bp, double* c,
+                     std::size_t ldc) {
+  micro_full_generic<4, 8>(kc, a, a_rs, a_cs, bp, c, ldc);
 }
-#endif  // FEDRA_GEMM_X86_SIMD
+
+FEDRA_TARGET("avx512f")
+void micro_full_avx512(std::size_t kc, const double* a, std::size_t a_rs,
+                       std::size_t a_cs, const double* bp, double* c,
+                       std::size_t ldc) {
+  micro_full_generic<8, 8>(kc, a, a_rs, a_cs, bp, c, ldc);
+}
 
 /// Boundary tile (mr < MR or nr < NR): scalar with runtime bounds and the
 /// same accumulation order, so row partitions and odd shapes stay
@@ -190,6 +152,7 @@ void gemm_blocked_impl(std::size_t m, std::size_t kdim, std::size_t p,
                        const double* a, std::size_t a_rs, std::size_t a_cs,
                        const double* b, std::size_t ldb, BPack mode,
                        double* c, std::size_t ldc) {
+  if (m == 0 || kdim == 0 || p == 0) return;
   thread_local std::vector<double> pack_buf;  // plain heap: not a tensor
   if (pack_buf.size() < kKC * kNC) pack_buf.resize(kKC * kNC);
   for (std::size_t k0 = 0; k0 < kdim; k0 += kKC) {
@@ -219,28 +182,18 @@ using GemmFn = void (*)(std::size_t, std::size_t, std::size_t, const double*,
                         std::size_t, std::size_t, const double*, std::size_t,
                         BPack, double*, std::size_t);
 
-/// Picks the widest micro-kernel this CPU supports. Tier choice affects
-/// only throughput, never bits — all tiers share the per-element
-/// ascending-k accumulation order.
-GemmFn select_gemm_impl() {
-#if FEDRA_GEMM_X86_SIMD
-  if (__builtin_cpu_supports("avx512f")) {
-    return gemm_blocked_impl<8, 8, micro_full_avx512>;
-  }
-  if (__builtin_cpu_supports("avx2")) {
-    return gemm_blocked_impl<4, 8, micro_full_avx2>;
-  }
-#endif
-  return gemm_blocked_impl<4, 4, micro_full_generic<4, 4>>;
-}
+/// The blocked engine per SIMD tier. Tier choice affects only throughput,
+/// never bits — all tiers share the per-element ascending-k order.
+constexpr GemmFn kGemm[simd::kNumTiers] = {
+    gemm_blocked_impl<4, 4, micro_full_scalar>,
+    gemm_blocked_impl<4, 8, micro_full_avx2>,
+    gemm_blocked_impl<8, 8, micro_full_avx512>,
+};
 
-void gemm_blocked(std::size_t m, std::size_t kdim, std::size_t p,
-                  const double* a, std::size_t a_rs, std::size_t a_cs,
-                  const double* b, std::size_t ldb, BPack mode, double* c,
-                  std::size_t ldc) {
-  if (m == 0 || kdim == 0 || p == 0) return;
-  static const GemmFn impl = select_gemm_impl();
-  impl(m, kdim, p, a, a_rs, a_cs, b, ldb, mode, c, ldc);
+GemmFn host_gemm() {
+  static const GemmFn gemm =
+      kGemm[static_cast<std::size_t>(simd::host_tier())];
+  return gemm;
 }
 
 void check_matmul_shapes(const Matrix& a, const Matrix& b, const Matrix& c) {
@@ -252,13 +205,41 @@ void check_matmul_shapes(const Matrix& a, const Matrix& b, const Matrix& c) {
 
 }  // namespace
 
-void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  FEDRA_EXPECTS(a.cols() == b.rows());
+void gemm_into(GemmOp op, const Matrix& a, const Matrix& b, Matrix& c,
+               simd::Tier tier) {
   check_matmul_shapes(a, b, c);
-  c.resize_reuse(a.rows(), b.cols());
-  c.set_zero();
-  gemm_blocked(a.rows(), a.cols(), b.cols(), a.data(), a.cols(), 1, b.data(),
-               b.cols(), BPack::kColumns, c.data(), c.cols());
+  const GemmFn gemm = kGemm[static_cast<std::size_t>(tier)];
+  switch (op) {
+    case GemmOp::kAB:
+      FEDRA_EXPECTS(a.cols() == b.rows());
+      c.resize_reuse(a.rows(), b.cols());
+      c.set_zero();
+      gemm(a.rows(), a.cols(), b.cols(), a.data(), a.cols(), 1, b.data(),
+           b.cols(), BPack::kColumns, c.data(), c.cols());
+      break;
+    case GemmOp::kAtB:
+      FEDRA_EXPECTS(a.rows() == b.rows());
+      c.resize_reuse(a.cols(), b.cols());
+      c.set_zero();
+      // Output row i is column i of A: consecutive output rows sit 1
+      // apart, consecutive k terms a full A row apart.
+      gemm(a.cols(), a.rows(), b.cols(), a.data(), 1, a.cols(), b.data(),
+           b.cols(), BPack::kColumns, c.data(), c.cols());
+      break;
+    case GemmOp::kABt:
+      FEDRA_EXPECTS(a.cols() == b.cols());
+      c.resize_reuse(a.rows(), b.rows());
+      c.set_zero();
+      // B rows are the contraction streams; pack them k-major so the
+      // micro-kernel reads one contiguous line per k step.
+      gemm(a.rows(), a.cols(), b.rows(), a.data(), a.cols(), 1, b.data(),
+           b.cols(), BPack::kRows, c.data(), c.cols());
+      break;
+  }
+}
+
+void matmul_into(const Matrix& a, const Matrix& b, Matrix& c) {
+  gemm_into(GemmOp::kAB, a, b, c, simd::host_tier());
 }
 
 Matrix matmul(const Matrix& a, const Matrix& b) {
@@ -269,25 +250,25 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
 
 void matmul_parallel_into(const Matrix& a, const Matrix& b, Matrix& c,
                           ThreadPool& pool) {
-  FEDRA_EXPECTS(a.cols() == b.rows());
-  check_matmul_shapes(a, b, c);
-  c.resize_reuse(a.rows(), b.cols());
-  c.set_zero();
   const std::size_t n = a.cols();
   const std::size_t p = b.cols();
   // Parallelizing tiny products costs more than it saves.
   if (pool.size() <= 1 || a.rows() * n * p < kParallelMinFlops) {
-    gemm_blocked(a.rows(), n, p, a.data(), n, 1, b.data(), p,
-                 BPack::kColumns, c.data(), p);
+    matmul_into(a, b, c);
     return;
   }
+  FEDRA_EXPECTS(a.cols() == b.rows());
+  check_matmul_shapes(a, b, c);
+  c.resize_reuse(a.rows(), b.cols());
+  c.set_zero();
   // Row-partitioned: each chunk runs the full blocked kernel on its rows.
   // A C element depends only on its own A row and all of B, so the chunk
   // boundaries cannot change any per-element accumulation — output is
   // bit-identical for every pool size and chunking.
+  const GemmFn gemm = host_gemm();
   pool.parallel_for_chunks(0, a.rows(), [&](std::size_t lo, std::size_t hi) {
-    gemm_blocked(hi - lo, n, p, a.data() + lo * n, n, 1, b.data(), p,
-                 BPack::kColumns, c.data() + lo * p, p);
+    gemm(hi - lo, n, p, a.data() + lo * n, n, 1, b.data(), p,
+         BPack::kColumns, c.data() + lo * p, p);
   });
 }
 
@@ -308,14 +289,7 @@ void matmul_auto_into(const Matrix& a, const Matrix& b, Matrix& c) {
 }
 
 void matmul_at_b_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  FEDRA_EXPECTS(a.rows() == b.rows());
-  check_matmul_shapes(a, b, c);
-  c.resize_reuse(a.cols(), b.cols());
-  c.set_zero();
-  // Output row i is column i of A: consecutive output rows sit 1 apart,
-  // consecutive k terms a full A row apart.
-  gemm_blocked(a.cols(), a.rows(), b.cols(), a.data(), 1, a.cols(), b.data(),
-               b.cols(), BPack::kColumns, c.data(), c.cols());
+  gemm_into(GemmOp::kAtB, a, b, c, simd::host_tier());
 }
 
 Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
@@ -325,14 +299,7 @@ Matrix matmul_at_b(const Matrix& a, const Matrix& b) {
 }
 
 void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c) {
-  FEDRA_EXPECTS(a.cols() == b.cols());
-  check_matmul_shapes(a, b, c);
-  c.resize_reuse(a.rows(), b.rows());
-  c.set_zero();
-  // B rows are the contraction streams; pack them k-major so the
-  // micro-kernel reads one contiguous line per k step.
-  gemm_blocked(a.rows(), a.cols(), b.rows(), a.data(), a.cols(), 1, b.data(),
-               b.cols(), BPack::kRows, c.data(), c.cols());
+  gemm_into(GemmOp::kABt, a, b, c, simd::host_tier());
 }
 
 Matrix matmul_a_bt(const Matrix& a, const Matrix& b) {

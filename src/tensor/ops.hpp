@@ -18,6 +18,7 @@
 #include <functional>
 
 #include "tensor/matrix.hpp"
+#include "util/simd.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fedra {
@@ -47,6 +48,16 @@ void matmul_a_bt_into(const Matrix& a, const Matrix& b, Matrix& c);
 /// large enough to amortize fork/join. Output is bit-identical to the
 /// serial kernel regardless of pool size (row-partitioned work).
 void matmul_auto_into(const Matrix& a, const Matrix& b, Matrix& c);
+
+/// Which product gemm_into computes.
+enum class GemmOp { kAB, kAtB, kABt };
+
+/// c = A*B, A^T*B or A*B^T (per `op`, with the shapes and the no-alias
+/// rule of the `_into` variants) on the blocked kernel compiled for
+/// `tier`. Every product above runs it at simd::host_tier(); tests run
+/// each tier the host executes.
+void gemm_into(GemmOp op, const Matrix& a, const Matrix& b, Matrix& c,
+               simd::Tier tier);
 
 // Reference kernels: the naive ascending-k triple loops the blocked
 // kernels must match bit-for-bit (including NaN/inf propagation — no

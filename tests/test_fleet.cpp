@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -20,6 +22,8 @@
 #include "sim/simulator.hpp"
 #include "trace/generator.hpp"
 #include "trace/trace_table.hpp"
+#include "simd_tiers.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace fedra {
@@ -285,66 +289,88 @@ TEST(FleetEngine, LegacyAndFleetConstructionAgree) {
 }
 
 // ---------------------------------------------------------------------------
-// Kernel padding discipline: lanes beyond n are never read or written,
-// even when poisoned with NaN / +-inf.
+// Kernel oracle and padding discipline: every live lane matches the
+// scalar oracle bit for bit — random per-lane values, NaN and ±inf
+// included — and lanes beyond n are never read or written, even when
+// poisoned with NaN / ±inf.
 // ---------------------------------------------------------------------------
 
-TEST(FleetKernels, PoisonedPaddingLanesAreNeverTouched) {
+/// Bitwise equality, except that any NaN equals any NaN (which payload
+/// survives is unspecified by IEEE-754; where NaN appears is not).
+bool same_lane(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+void expect_kernels_match_oracle(const fleet::PricingKernels& k) {
   constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
   constexpr double kSentinel = 12345.0;
   const double poison[3] = {kNan, kInf, -kInf};
 
-  for (std::size_t n : {1u, 7u, 13u, 64u, 333u}) {
+  for (std::size_t n : {1u, 7u, 13u, 64u, 333u, 4096u}) {
     for (int p = 0; p < 3; ++p) {
       const std::size_t cap = n + 16;
-      auto poisoned = [&](double fill) {
+      Rng rng(1000 * n + static_cast<std::uint64_t>(p));
+      // Random live lanes (the products round, so a contracted mul+add
+      // shows) and ~1/8 non-finite lanes per special-bearing column.
+      auto column = [&](double lo, double hi, bool specials) {
         std::vector<double> v(cap, poison[p]);
-        for (std::size_t i = 0; i < n; ++i) v[i] = fill;
+        for (std::size_t i = 0; i < n; ++i) {
+          v[i] = rng.uniform(lo, hi);
+          if (specials && rng.uniform_int(0, 7) == 0) {
+            v[i] = poison[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+          }
+        }
         return v;
       };
-      std::vector<double> cycles = poisoned(1.0);
-      std::vector<double> bits = poisoned(2e9);
-      std::vector<double> capa = poisoned(1e-28);
-      std::vector<double> maxf = poisoned(2e9);
-      std::vector<double> txp = poisoned(1.0);
-      std::vector<double> req = poisoned(1.1e9);
-      std::vector<double> est = poisoned(0.5);
+      const std::vector<double> cycles = column(1.0, 30.0, true);
+      const std::vector<double> bits = column(1e8, 4e9, false);
+      const std::vector<double> capa = column(1e-29, 1e-27, false);
+      const std::vector<double> maxf = column(0.5e9, 3e9, true);
+      const std::vector<double> txp = column(0.1, 2.0, false);
+      // Requests below the floor and above the cap both occur.
+      const std::vector<double> req = column(-1e9, 4e9, true);
+      // Comm estimates past the 3 s deadline make lanes infeasible.
+      const std::vector<double> est = column(0.0, 6.0, true);
 
       std::vector<double> freq(cap, kSentinel), tcmp(cap, kSentinel),
           ecmp(cap, kSentinel);
       std::vector<double> rfreq(cap, kSentinel), rtcmp(cap, kSentinel),
           recmp(cap, kSentinel);
-      fleet::price_compute(n, 1.0, 0.01, cycles.data(), bits.data(),
-                           capa.data(), maxf.data(), req.data(), freq.data(),
-                           tcmp.data(), ecmp.data());
+      k.price_compute(n, 1.0, 0.01, cycles.data(), bits.data(), capa.data(),
+                      maxf.data(), req.data(), freq.data(), tcmp.data(),
+                      ecmp.data());
       fleet::price_compute_reference(n, 1.0, 0.01, cycles.data(), bits.data(),
                                      capa.data(), maxf.data(), req.data(),
                                      rfreq.data(), rtcmp.data(), recmp.data());
       std::vector<double> dl(cap, kSentinel), rdl(cap, kSentinel);
-      fleet::deadline_freqs(n, 1.0, 0.01, 3.0, cycles.data(), bits.data(),
-                            maxf.data(), est.data(), dl.data());
+      k.deadline_freqs(n, 1.0, 0.01, 3.0, cycles.data(), bits.data(),
+                       maxf.data(), est.data(), dl.data());
       fleet::deadline_freqs_reference(n, 1.0, 0.01, 3.0, cycles.data(),
                                       bits.data(), maxf.data(), est.data(),
                                       rdl.data());
       std::vector<double> time(cap, kSentinel), energy(cap, kSentinel);
       std::vector<double> rtime(cap, kSentinel), renergy(cap, kSentinel);
-      fleet::predicted_terms(n, 1.0, cycles.data(), bits.data(), capa.data(),
-                             txp.data(), est.data(), req.data(), time.data(),
-                             energy.data());
+      k.predicted_terms(n, 1.0, cycles.data(), bits.data(), capa.data(),
+                        txp.data(), est.data(), req.data(), time.data(),
+                        energy.data());
       fleet::predicted_terms_reference(n, 1.0, cycles.data(), bits.data(),
                                        capa.data(), txp.data(), est.data(),
                                        req.data(), rtime.data(),
                                        renergy.data());
 
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(freq[i], rfreq[i]);
-        EXPECT_EQ(tcmp[i], rtcmp[i]);
-        EXPECT_EQ(ecmp[i], recmp[i]);
-        EXPECT_EQ(dl[i], rdl[i]);
-        EXPECT_EQ(time[i], rtime[i]);
-        EXPECT_EQ(energy[i], renergy[i]);
-        EXPECT_TRUE(std::isfinite(freq[i]));
+        SCOPED_TRACE(::testing::Message() << "n " << n << " lane " << i);
+        EXPECT_PRED2(same_lane, freq[i], rfreq[i]);
+        EXPECT_PRED2(same_lane, tcmp[i], rtcmp[i]);
+        EXPECT_PRED2(same_lane, ecmp[i], recmp[i]);
+        EXPECT_PRED2(same_lane, dl[i], rdl[i]);
+        EXPECT_PRED2(same_lane, time[i], rtime[i]);
+        EXPECT_PRED2(same_lane, energy[i], renergy[i]);
+        if (std::isfinite(req[i]) && std::isfinite(maxf[i])) {
+          EXPECT_TRUE(std::isfinite(freq[i]));
+        }
       }
       for (std::size_t i = n; i < cap; ++i) {
         EXPECT_EQ(freq[i], kSentinel);
@@ -357,6 +383,21 @@ TEST(FleetKernels, PoisonedPaddingLanesAreNeverTouched) {
     }
   }
 }
+
+// The dispatching entry points production calls.
+TEST(FleetKernels, PoisonedPaddingLanesAreNeverTouched) {
+  expect_kernels_match_oracle({&fleet::price_compute, &fleet::deadline_freqs,
+                               &fleet::predicted_terms});
+}
+
+// Every tier's compiled kernels, through the table the entry points use.
+class FleetKernelTiers : public ::testing::TestWithParam<simd::Tier> {};
+
+TEST_P(FleetKernelTiers, PoisonedPaddingLanesAreNeverTouched) {
+  expect_kernels_match_oracle(fleet::pricing_kernels(GetParam()));
+}
+
+FEDRA_INSTANTIATE_PER_TIER(FleetKernelTiers);
 
 // ---------------------------------------------------------------------------
 // Batched trace solves == scalar solves.

@@ -16,6 +16,7 @@
 
 #include "nn/mlp.hpp"
 #include "nn/workspace.hpp"
+#include "simd_tiers.hpp"
 #include "util/rng.hpp"
 
 namespace fedra {
@@ -79,65 +80,63 @@ void expect_lanes_equal(const std::vector<double>& got,
   }
 }
 
-TEST(FusedKernels, ExpMatchesReferenceEveryLane) {
+/// The dispatching entry points production calls. The fused backward
+/// rows have no entry point of their own; act_backward_colsum_into runs
+/// the host table's.
+FusedKernels public_kernels() {
+  const FusedKernels& host = fused_kernels(simd::host_tier());
+  return {&fast_exp_map,
+          &fast_tanh_map,
+          &fast_sigmoid_map,
+          &relu_map,
+          &leaky_relu_map,
+          &relu_backward_map,
+          &leaky_relu_backward_map,
+          &tanh_backward_map,
+          &sigmoid_backward_map,
+          host.tanh_backward_colsum_row,
+          host.sigmoid_backward_colsum_row};
+}
+
+void expect_transcendental_map_matches(
+    void (*map)(const double*, double*, std::size_t),
+    double (*reference)(double), std::uint64_t seed, const char* what) {
   for (std::size_t n : kLengths) {
-    auto x = adversarial_inputs(n, 100 + n);
+    auto x = adversarial_inputs(n, seed + n);
     std::vector<double> got(n), want(n);
-    fast_exp_map(x.data(), got.data(), n);
-    for (std::size_t i = 0; i < n; ++i) want[i] = fast_exp_reference(x[i]);
-    expect_lanes_equal(got, want, "fast_exp", n);
+    map(x.data(), got.data(), n);
+    for (std::size_t i = 0; i < n; ++i) want[i] = reference(x[i]);
+    expect_lanes_equal(got, want, what, n);
   }
 }
 
-TEST(FusedKernels, TanhMatchesReferenceEveryLane) {
-  for (std::size_t n : kLengths) {
-    auto x = adversarial_inputs(n, 200 + n);
-    std::vector<double> got(n), want(n);
-    fast_tanh_map(x.data(), got.data(), n);
-    for (std::size_t i = 0; i < n; ++i) want[i] = fast_tanh_reference(x[i]);
-    expect_lanes_equal(got, want, "fast_tanh", n);
-  }
-}
-
-TEST(FusedKernels, SigmoidMatchesReferenceEveryLane) {
-  for (std::size_t n : kLengths) {
-    auto x = adversarial_inputs(n, 300 + n);
-    std::vector<double> got(n), want(n);
-    fast_sigmoid_map(x.data(), got.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      want[i] = fast_sigmoid_reference(x[i]);
-    }
-    expect_lanes_equal(got, want, "fast_sigmoid", n);
-  }
-}
-
-TEST(FusedKernels, ReluFamilyMatchesReferenceEveryLane) {
+void expect_relu_family_matches(const FusedKernels& k) {
   const double slope = 0.03;
   for (std::size_t n : kLengths) {
     auto x = adversarial_inputs(n, 400 + n);
     auto g = adversarial_inputs(n, 500 + n);
     std::vector<double> got(n), want(n);
 
-    relu_map(x.data(), got.data(), n);
+    k.relu_map(x.data(), got.data(), n);
     relu_map_reference(x.data(), want.data(), n);
     expect_lanes_equal(got, want, "relu", n);
 
-    leaky_relu_map(x.data(), slope, got.data(), n);
+    k.leaky_relu_map(x.data(), slope, got.data(), n);
     leaky_relu_map_reference(x.data(), slope, want.data(), n);
     expect_lanes_equal(got, want, "leaky_relu", n);
 
-    relu_backward_map(g.data(), x.data(), got.data(), n);
+    k.relu_backward_map(g.data(), x.data(), got.data(), n);
     relu_backward_map_reference(g.data(), x.data(), want.data(), n);
     expect_lanes_equal(got, want, "relu_backward", n);
 
-    leaky_relu_backward_map(g.data(), x.data(), slope, got.data(), n);
+    k.leaky_relu_backward_map(g.data(), x.data(), slope, got.data(), n);
     leaky_relu_backward_map_reference(g.data(), x.data(), slope, want.data(),
                                       n);
     expect_lanes_equal(got, want, "leaky_relu_backward", n);
   }
 }
 
-TEST(FusedKernels, ActivationBackwardMatchesReferenceEveryLane) {
+void expect_activation_backward_matches(const FusedKernels& k) {
   for (std::size_t n : kLengths) {
     auto g = adversarial_inputs(n, 600 + n);
     // Backward reads the forward OUTPUT y: feed it the actual range of
@@ -148,15 +147,108 @@ TEST(FusedKernels, ActivationBackwardMatchesReferenceEveryLane) {
     fast_sigmoid_map(pre.data(), y_sig.data(), n);
 
     std::vector<double> got(n), want(n);
-    tanh_backward_map(g.data(), y_tanh.data(), got.data(), n);
+    k.tanh_backward_map(g.data(), y_tanh.data(), got.data(), n);
     tanh_backward_map_reference(g.data(), y_tanh.data(), want.data(), n);
     expect_lanes_equal(got, want, "tanh_backward", n);
 
-    sigmoid_backward_map(g.data(), y_sig.data(), got.data(), n);
+    k.sigmoid_backward_map(g.data(), y_sig.data(), got.data(), n);
     sigmoid_backward_map_reference(g.data(), y_sig.data(), want.data(), n);
     expect_lanes_equal(got, want, "sigmoid_backward", n);
   }
 }
+
+TEST(FusedKernels, ExpMatchesReferenceEveryLane) {
+  expect_transcendental_map_matches(&fast_exp_map, &fast_exp_reference, 100,
+                                    "fast_exp");
+}
+
+TEST(FusedKernels, TanhMatchesReferenceEveryLane) {
+  expect_transcendental_map_matches(&fast_tanh_map, &fast_tanh_reference,
+                                    200, "fast_tanh");
+}
+
+TEST(FusedKernels, SigmoidMatchesReferenceEveryLane) {
+  expect_transcendental_map_matches(&fast_sigmoid_map,
+                                    &fast_sigmoid_reference, 300,
+                                    "fast_sigmoid");
+}
+
+TEST(FusedKernels, ReluFamilyMatchesReferenceEveryLane) {
+  expect_relu_family_matches(public_kernels());
+}
+
+TEST(FusedKernels, ActivationBackwardMatchesReferenceEveryLane) {
+  expect_activation_backward_matches(public_kernels());
+}
+
+// The same oracle checks for every tier's compiled kernels, through the
+// table the entry points above dispatch into.
+class FusedKernelTiers : public ::testing::TestWithParam<simd::Tier> {};
+
+TEST_P(FusedKernelTiers, ExpMatchesReferenceEveryLane) {
+  expect_transcendental_map_matches(fused_kernels(GetParam()).exp_map,
+                                    &fast_exp_reference, 100, "fast_exp");
+}
+
+TEST_P(FusedKernelTiers, TanhMatchesReferenceEveryLane) {
+  expect_transcendental_map_matches(fused_kernels(GetParam()).tanh_map,
+                                    &fast_tanh_reference, 200, "fast_tanh");
+}
+
+TEST_P(FusedKernelTiers, SigmoidMatchesReferenceEveryLane) {
+  expect_transcendental_map_matches(fused_kernels(GetParam()).sigmoid_map,
+                                    &fast_sigmoid_reference, 300,
+                                    "fast_sigmoid");
+}
+
+TEST_P(FusedKernelTiers, ReluFamilyMatchesReferenceEveryLane) {
+  expect_relu_family_matches(fused_kernels(GetParam()));
+}
+
+TEST_P(FusedKernelTiers, ActivationBackwardMatchesReferenceEveryLane) {
+  expect_activation_backward_matches(fused_kernels(GetParam()));
+}
+
+// The fused backward rows (dpre and the running column sum) against the
+// reference pass, on ragged shapes with adversarial gradients.
+TEST_P(FusedKernelTiers, BackwardColsumRowsMatchReference) {
+  const FusedKernels& k = fused_kernels(GetParam());
+  for (FusedAct act : {FusedAct::Tanh, FusedAct::Sigmoid}) {
+    const auto row = act == FusedAct::Tanh ? k.tanh_backward_colsum_row
+                                           : k.sigmoid_backward_colsum_row;
+    for (std::size_t rows : {std::size_t{1}, std::size_t{3}, std::size_t{7}}) {
+      for (std::size_t cols : kLengths) {
+        Matrix g(rows, cols), pre(rows, cols), bias(1, cols);
+        const auto gv = adversarial_inputs(rows * cols, 800 + cols);
+        const auto pv = adversarial_inputs(rows * cols, 900 + cols);
+        for (std::size_t i = 0; i < g.size(); ++i) {
+          g.data()[i] = gv[i];
+          pre.data()[i] = pv[i];
+        }
+        Matrix y;
+        bias_act_into_reference(pre, bias, act, y);
+
+        Matrix dpre(rows, cols), cs(1, cols, 0.0);
+        for (std::size_t i = 0; i < rows; ++i) {
+          row(g.data() + i * cols, y.data() + i * cols,
+              dpre.data() + i * cols, cs.data(), cols);
+        }
+        Matrix dpre_ref, cs_ref;
+        act_backward_colsum_into_reference(g, y, act, dpre_ref, cs_ref);
+        for (std::size_t i = 0; i < dpre.size(); ++i) {
+          ASSERT_EQ(bits(dpre.data()[i]), bits(dpre_ref.data()[i]))
+              << "dpre " << rows << "x" << cols << " element " << i;
+        }
+        for (std::size_t j = 0; j < cols; ++j) {
+          ASSERT_EQ(bits(cs.data()[j]), bits(cs_ref.data()[j]))
+              << "colsum " << rows << "x" << cols << " column " << j;
+        }
+      }
+    }
+  }
+}
+
+FEDRA_INSTANTIATE_PER_TIER(FusedKernelTiers);
 
 // Saturation boundary: tanh must pin to exactly ±1.0 past the threshold
 // and NaN must survive every kernel.

@@ -9,9 +9,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <vector>
 
+#include "simd_tiers.hpp"
 #include "tensor/ops.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -91,60 +93,123 @@ void poison(Matrix& m, Rng& rng) {
   }
 }
 
-TEST(GemmKernels, MatmulBitwiseMatchesReference) {
+/// One of the three products, computed by the code under test.
+using Product = std::function<Matrix(GemmOp, const Matrix&, const Matrix&)>;
+
+/// The public entry points production calls (host tier).
+Matrix public_product(GemmOp op, const Matrix& a, const Matrix& b) {
+  switch (op) {
+    case GemmOp::kAB: return matmul(a, b);
+    case GemmOp::kAtB: return matmul_at_b(a, b);
+    case GemmOp::kABt: return matmul_a_bt(a, b);
+  }
+  return {};
+}
+
+/// One tier's kernel, through the tier table the entry points use.
+Product tier_product(simd::Tier tier) {
+  return [tier](GemmOp op, const Matrix& a, const Matrix& b) {
+    Matrix c;
+    gemm_into(op, a, b, c, tier);
+    return c;
+  };
+}
+
+void expect_matmul_matches(const Product& product) {
   Rng rng(101);
   for (const auto& s : kShapes) {
     const Matrix a = random_matrix(s.m, s.k, rng);
     const Matrix b = random_matrix(s.k, s.n, rng);
-    EXPECT_TRUE(bitwise_equal(matmul(a, b), matmul_reference(a, b)))
+    EXPECT_TRUE(bitwise_equal(product(GemmOp::kAB, a, b),
+                              matmul_reference(a, b)))
         << s.m << "x" << s.k << "x" << s.n;
   }
 }
 
-TEST(GemmKernels, MatmulAtBBitwiseMatchesReference) {
+void expect_at_b_matches(const Product& product) {
   Rng rng(102);
   for (const auto& s : kShapes) {
     const Matrix a = random_matrix(s.k, s.m, rng);  // C = A^T B is m x n
     const Matrix b = random_matrix(s.k, s.n, rng);
-    EXPECT_TRUE(bitwise_equal(matmul_at_b(a, b), matmul_at_b_reference(a, b)))
+    EXPECT_TRUE(bitwise_equal(product(GemmOp::kAtB, a, b),
+                              matmul_at_b_reference(a, b)))
         << s.m << "x" << s.k << "x" << s.n;
   }
 }
 
-TEST(GemmKernels, MatmulABtBitwiseMatchesReference) {
+void expect_a_bt_matches(const Product& product) {
   Rng rng(103);
   for (const auto& s : kShapes) {
     const Matrix a = random_matrix(s.m, s.k, rng);  // C = A B^T is m x n
     const Matrix b = random_matrix(s.n, s.k, rng);
-    EXPECT_TRUE(bitwise_equal(matmul_a_bt(a, b), matmul_a_bt_reference(a, b)))
+    EXPECT_TRUE(bitwise_equal(product(GemmOp::kABt, a, b),
+                              matmul_a_bt_reference(a, b)))
         << s.m << "x" << s.k << "x" << s.n;
   }
 }
 
-TEST(GemmKernels, NonFiniteOperandsPropagateIdentically) {
-  // The seed kernel's zero-skip would turn 0 * NaN into 0; the blocked
-  // kernels and the references must agree on full IEEE propagation —
-  // including through the SIMD microkernels, whose unfused mul/add must
-  // round (and propagate NaN payloads) exactly like scalar code.
+// The seed kernel's zero-skip would turn 0 * NaN into 0; the blocked
+// kernels and the references must agree on full IEEE propagation —
+// including through the vectorized microkernels, whose unfused mul/add
+// must round exactly like scalar code.
+void expect_non_finite_propagate(const Product& product) {
   Rng rng(104);
   for (const auto& s : kShapes) {
     Matrix a = random_matrix(s.m, s.k, rng);
     Matrix b = random_matrix(s.k, s.n, rng);
     poison(a, rng);
     poison(b, rng);
-    EXPECT_TRUE(bitwise_equal(matmul(a, b), matmul_reference(a, b)))
+    EXPECT_TRUE(bitwise_equal(product(GemmOp::kAB, a, b),
+                              matmul_reference(a, b)))
         << "matmul " << s.m << "x" << s.k << "x" << s.n;
 
     Matrix bt = transpose(b);
-    EXPECT_TRUE(
-        bitwise_equal(matmul_a_bt(a, bt), matmul_a_bt_reference(a, bt)))
+    EXPECT_TRUE(bitwise_equal(product(GemmOp::kABt, a, bt),
+                              matmul_a_bt_reference(a, bt)))
         << "a_bt " << s.m << "x" << s.k << "x" << s.n;
 
     Matrix at = transpose(a);
-    EXPECT_TRUE(bitwise_equal(matmul_at_b(at, b), matmul_at_b_reference(at, b)))
+    EXPECT_TRUE(bitwise_equal(product(GemmOp::kAtB, at, b),
+                              matmul_at_b_reference(at, b)))
         << "at_b " << s.m << "x" << s.k << "x" << s.n;
   }
 }
+
+TEST(GemmKernels, MatmulBitwiseMatchesReference) {
+  expect_matmul_matches(public_product);
+}
+
+TEST(GemmKernels, MatmulAtBBitwiseMatchesReference) {
+  expect_at_b_matches(public_product);
+}
+
+TEST(GemmKernels, MatmulABtBitwiseMatchesReference) {
+  expect_a_bt_matches(public_product);
+}
+
+TEST(GemmKernels, NonFiniteOperandsPropagateIdentically) {
+  expect_non_finite_propagate(public_product);
+}
+
+class GemmKernelTiers : public ::testing::TestWithParam<simd::Tier> {};
+
+TEST_P(GemmKernelTiers, MatmulBitwiseMatchesReference) {
+  expect_matmul_matches(tier_product(GetParam()));
+}
+
+TEST_P(GemmKernelTiers, MatmulAtBBitwiseMatchesReference) {
+  expect_at_b_matches(tier_product(GetParam()));
+}
+
+TEST_P(GemmKernelTiers, MatmulABtBitwiseMatchesReference) {
+  expect_a_bt_matches(tier_product(GetParam()));
+}
+
+TEST_P(GemmKernelTiers, NonFiniteOperandsPropagateIdentically) {
+  expect_non_finite_propagate(tier_product(GetParam()));
+}
+
+FEDRA_INSTANTIATE_PER_TIER(GemmKernelTiers);
 
 TEST(GemmKernels, ParallelBitwiseMatchesReferenceAcrossPoolSizes) {
   Rng rng(105);
