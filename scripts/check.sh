@@ -21,9 +21,9 @@
 #      enforces bench_serve's batched-vs-sequential speedup floor and
 #      bit-exactness flag, bench_fleet's engine-vs-scalar-oracle
 #      bitwise pricing contract (50 → 1M devices, pools {1,2,8}),
-#      bench_gemm's reuse-not-slower gates, bench_obs's async-ledger
-#      overhead ceiling plus hardware-graded training-speedup floor,
-#      and bench_sweep's serial≡parallel bitwise-aggregate contract
+#      bench_obs's ledger overhead ceiling and flight-recorder
+#      overhead ceiling, and bench_sweep's serial≡parallel
+#      bitwise-aggregate contract
 #      plus hardware-graded sweep-speedup floor (the converted
 #      bench_multiseed / bench_ablate_tau / bench_ablate_lambda smokes
 #      assert the same serial≡parallel contract on their own grids),
@@ -31,7 +31,7 @@
 #      also compared one-way against the baselines: a holding gate must
 #      keep holding).
 #
-#   scripts/check.sh          # all four legs
+#   scripts/check.sh          # all five legs
 #   scripts/check.sh --fast   # tier-1 only
 set -euo pipefail
 cd "$(dirname "$0")/.."

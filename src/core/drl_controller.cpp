@@ -73,7 +73,7 @@ void DrlController::observe(const IterationResult& result) {
         decision.realized_energy = result.total_energy;
         decision.realized_cost = result.cost;
         decision.reward = result.reward;
-        obs::RunLedger::record_decision(decision);
+        obs::RunLedger::record_decision(std::move(decision));
       }
     }
   }

@@ -155,7 +155,7 @@ StepResult FlEnv::step(const std::vector<double>& action) {
     decision.realized_energy = r.info.total_energy;
     decision.realized_cost = r.info.cost;
     decision.reward = r.reward;
-    obs::RunLedger::record_decision(decision);
+    obs::RunLedger::record_decision(std::move(decision));
   }
 
   last_result_ = r.info;

@@ -1,5 +1,7 @@
 #include "fl/fedavg.hpp"
 
+#include <utility>
+
 #include "nn/loss.hpp"
 #include "obs/ledger.hpp"
 #include "telemetry/telemetry.hpp"
@@ -146,7 +148,7 @@ RoundMetrics FedAvgServer::run_round(
       rec.mean_client_loss = m.mean_client_loss;
       rec.num_participants = m.num_participants;
       rec.num_delivered = m.num_delivered;
-      obs::RunLedger::record_fl_round(rec);
+      obs::RunLedger::record_fl_round(std::move(rec));
     }
   }
   return m;

@@ -1,5 +1,6 @@
 #include "live/http_exporter.hpp"
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -33,12 +34,33 @@ std::string http_response(int status, const char* reason,
   return out;
 }
 
+/// Time a client has to deliver its whole request, and the bound on each
+/// send of the response: a client that trickles bytes or never reads
+/// cannot pin an accept thread past them.
+constexpr std::chrono::microseconds kRequestDeadline{2'000'000};
+constexpr std::chrono::microseconds kSendTimeout{2'000'000};
+
+void set_socket_timeout(int fd, int option, std::chrono::microseconds t) {
+  timeval tv;
+  tv.tv_sec = static_cast<time_t>(t.count() / 1'000'000);
+  tv.tv_usec = static_cast<suseconds_t>(t.count() % 1'000'000);
+  ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof(tv));
+}
+
 /// First request line up to the blank line; 8 KiB cap (a GET of three
-/// short paths never comes close).
+/// short paths never comes close). The receive timeout is re-armed with
+/// what remains of kRequestDeadline before every recv, so the deadline
+/// bounds the whole request, not each read.
 bool read_request(int fd, std::string& out) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline = Clock::now() + kRequestDeadline;
   char buf[1024];
   out.clear();
   while (out.size() < 8192) {
+    const auto left = std::chrono::duration_cast<std::chrono::microseconds>(
+        deadline - Clock::now());
+    if (left.count() <= 0) return !out.empty();
+    set_socket_timeout(fd, SO_RCVTIMEO, left);
     const ::ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) return !out.empty();
     out.append(buf, static_cast<std::size_t>(n));
@@ -139,12 +161,7 @@ void LiveServer::accept_loop() {
 }
 
 void LiveServer::handle_connection(int fd) {
-  // Bound the read so a stuck client cannot pin an accept thread forever.
-  timeval tv;
-  tv.tv_sec = 2;
-  tv.tv_usec = 0;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-
+  set_socket_timeout(fd, SO_SNDTIMEO, kSendTimeout);
   std::string request;
   if (!read_request(fd, request)) return;
 

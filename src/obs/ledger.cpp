@@ -68,16 +68,18 @@ void append_array(std::string& out, const char* key,
   out += ']';
 }
 
+/// Footprint budget of the writer's queue: a record that would push it
+/// past 1 MiB is dropped (and counted) instead of blocking the recorder.
+constexpr std::size_t kQueueBudgetBytes = 1 << 20;
+
 // Like Telemetry's GlobalState: heap-allocated and never destroyed so
-// writers racing with process teardown never touch a dead object. While
-// the async writer exists, its drainer thread is the only writer of `out`
-// (the header was written before the drainer started); the mutex covers
-// the synchronous mode and enable/disable/flush transitions.
+// writers racing with process teardown never touch a dead object. The
+// mutex guards the writer pointer, the config and the stream; once the
+// header is written, the drainer's sink is the only writer of `out`.
 struct LedgerState {
   std::mutex mutex;
   LedgerConfig config;
   std::ofstream out;
-  std::atomic<std::uint64_t> records{0};
   std::unique_ptr<AsyncLedgerWriter> writer;
   std::atomic<bool> status_registered{false};  ///< /statusz source, once
 };
@@ -87,12 +89,15 @@ LedgerState& state() {
   return *s;
 }
 
-void write_line(const std::string& line) {
-  LedgerState& s = state();
-  std::lock_guard<std::mutex> lock(s.mutex);
-  if (!s.out.is_open()) return;
-  s.out << line << '\n';
-  s.records.fetch_add(1, std::memory_order_relaxed);
+/// Detaches the writer under the state lock, then drains and joins it
+/// outside the lock: its drainer's sink takes that lock per line.
+void retire_writer(LedgerState& s) {
+  std::unique_ptr<AsyncLedgerWriter> retired;
+  {
+    std::lock_guard<std::mutex> lock(s.mutex);
+    retired = std::move(s.writer);
+  }
+  retired.reset();
 }
 
 void count_drop() {
@@ -140,11 +145,8 @@ std::atomic<bool>& RunLedger::enabled_flag() {
 
 bool RunLedger::enable(const LedgerConfig& config) {
   LedgerState& s = state();
-  // Retire any previous async writer outside the state lock (its drainer
-  // takes no LedgerState locks, but joining under the lock invites
-  // ordering accidents with flush()).
   enabled_flag().store(false, std::memory_order_relaxed);
-  s.writer.reset();
+  retire_writer(s);
   std::lock_guard<std::mutex> lock(s.mutex);
   if (s.out.is_open()) s.out.close();
   s.out.open(config.path, std::ios::trunc);
@@ -152,7 +154,6 @@ bool RunLedger::enable(const LedgerConfig& config) {
     return false;
   }
   s.config = config;
-  s.records.store(0, std::memory_order_relaxed);
   std::string header = "{";
   append_kv(header, "type", std::string("header"));
   header += ',';
@@ -163,15 +164,13 @@ bool RunLedger::enable(const LedgerConfig& config) {
   append_kv(header, "lambda", config.lambda);
   header += '}';
   s.out << header << '\n';
-  if (config.async) {
-    // The sink runs on the drainer thread; it takes the state mutex per
-    // line so it cannot interleave with flush()/disable() stream access.
-    s.writer = std::make_unique<AsyncLedgerWriter>(
-        config.ring_bytes, [&s](const std::string& line) {
-          std::lock_guard<std::mutex> sink_lock(s.mutex);
-          if (s.out.is_open()) s.out << line << '\n';
-        });
-  }
+  // The sink runs on the drainer thread; it takes the state mutex per line
+  // so it cannot interleave with flush()/disable() stream access.
+  s.writer = std::make_unique<AsyncLedgerWriter>(
+      kQueueBudgetBytes, [&s](const std::string& line) {
+        std::lock_guard<std::mutex> sink_lock(s.mutex);
+        if (s.out.is_open()) s.out << line << '\n';
+      });
   enabled_flag().store(true, std::memory_order_relaxed);
   if (!s.status_registered.exchange(true, std::memory_order_acq_rel)) {
     // Registered once and never unregistered: the state it reads is the
@@ -200,7 +199,7 @@ void RunLedger::disable() {
   LedgerState& s = state();
   // Drain + join first so every accepted record reaches the stream before
   // it is closed (flush-at-exit ordering).
-  s.writer.reset();
+  retire_writer(s);
   std::lock_guard<std::mutex> lock(s.mutex);
   if (s.out.is_open()) {
     s.out.flush();
@@ -219,60 +218,43 @@ const LedgerConfig& RunLedger::config() { return state().config; }
 
 std::uint64_t RunLedger::records_written() {
   LedgerState& s = state();
-  const std::uint64_t sync = s.records.load(std::memory_order_relaxed);
-  return s.writer != nullptr ? sync + s.writer->accepted() : sync;
+  std::lock_guard<std::mutex> lock(s.mutex);
+  return s.writer != nullptr ? s.writer->accepted() : 0;
 }
 
 std::uint64_t RunLedger::dropped_records() {
   LedgerState& s = state();
+  std::lock_guard<std::mutex> lock(s.mutex);
   return s.writer != nullptr ? s.writer->dropped() : 0;
 }
 
-// In async mode the state mutex guards only the writer-pointer check and
-// the (non-blocking) enqueue — it is contended just once per drained line,
-// never for the duration of disk I/O, so recording stays wait-free in the
-// practical sense the 4x-overhead gate measures.
+namespace {
 
-void RunLedger::record_round(const RoundRecord& record) {
-  if (!enabled()) return;
+// The state mutex guards only the writer-pointer check and the
+// (non-blocking) move into the queue; the drainer takes it once per
+// written line, never for the duration of formatting.
+void enqueue(LedgerRecord record) {
+  if (!RunLedger::enabled()) return;
   if (consume_suppressed()) return;
   LedgerState& s = state();
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.writer != nullptr) {
-      if (!s.writer->enqueue_round(record)) count_drop();
-      return;
-    }
+  std::lock_guard<std::mutex> lock(s.mutex);
+  if (s.writer != nullptr && !s.writer->enqueue(std::move(record))) {
+    count_drop();
   }
-  write_line(round_record_json(record));
 }
 
-void RunLedger::record_decision(const DecisionRecord& record) {
-  if (!enabled()) return;
-  if (consume_suppressed()) return;
-  LedgerState& s = state();
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.writer != nullptr) {
-      if (!s.writer->enqueue_decision(record)) count_drop();
-      return;
-    }
-  }
-  write_line(decision_record_json(record));
+}  // namespace
+
+void RunLedger::record_round(RoundRecord record) {
+  enqueue(std::move(record));
 }
 
-void RunLedger::record_fl_round(const FlRoundRecord& record) {
-  if (!enabled()) return;
-  if (consume_suppressed()) return;
-  LedgerState& s = state();
-  {
-    std::lock_guard<std::mutex> lock(s.mutex);
-    if (s.writer != nullptr) {
-      if (!s.writer->enqueue_fl_round(record)) count_drop();
-      return;
-    }
-  }
-  write_line(fl_round_record_json(record));
+void RunLedger::record_decision(DecisionRecord record) {
+  enqueue(std::move(record));
+}
+
+void RunLedger::record_fl_round(FlRoundRecord record) {
+  enqueue(std::move(record));
 }
 
 std::string round_record_json(const RoundRecord& r) {
@@ -411,9 +393,11 @@ std::vector<double> to_double_vector(const JsonValue* v) {
   return out;
 }
 
+/// Non-negative integer field; 0 for anything a size_t cannot hold (a
+/// NaN or out-of-range cast would be undefined behaviour).
 std::size_t get_index(const JsonValue& obj, const char* key) {
-  double v = obj.get_number(key, 0.0);
-  return v > 0.0 ? static_cast<std::size_t>(v) : 0;
+  const double v = obj.get_number(key, 0.0);
+  return v > 0.0 && v < 0x1p64 ? static_cast<std::size_t>(v) : 0;
 }
 
 RoundRecord parse_round(const JsonValue& obj) {

@@ -27,14 +27,14 @@
 // per-round decomposition sums bit-exactly to the simulator's reported
 // T^k + lambda*Sigma E.
 //
-// Writing mode: by default (LedgerConfig::async) the hot thread only
-// serializes each record into a binary frame pushed into a bounded ring
-// (src/obs/async_writer.hpp); a background drainer formats the JSONL.
-// Overflowing frames are dropped whole and counted (dropped_records() +
-// the obs.ledger.dropped telemetry counter) — recording never blocks the
-// simulation. flush()/disable() wait for the drainer, so after either the
-// file is byte-identical to what the synchronous writer would have
-// produced. Set async=false for the strictly synchronous legacy behavior.
+// Writing: record_* move the record struct into a bounded queue and
+// return; a background drainer thread formats the JSONL lines
+// (src/obs/async_writer.hpp). A record that would push the queue past its
+// fixed 1 MiB footprint budget is dropped whole and counted
+// (dropped_records() + the obs.ledger.dropped telemetry counter) —
+// recording never blocks the simulation. flush()/disable() wait for the
+// drainer, so after either every accepted record is in the file, in
+// acceptance order, exactly as the *_record_json formatters print it.
 #pragma once
 
 #include <atomic>
@@ -132,16 +132,10 @@ struct LedgerConfig {
   /// round must not write a million JSON objects per line); the remainder
   /// is counted in RoundRecord::devices_omitted. 0 = no per-device rows.
   std::size_t max_device_rows = 1024;
-  /// Hand records to a background drainer thread through a bounded binary
-  /// ring instead of formatting JSON on the recording thread. Overflow
-  /// drops (counted), never blocks.
-  bool async = true;
-  /// Ring capacity in bytes (rounded up to a power of two, min 4 KiB).
-  std::size_t ring_bytes = 1 << 20;
 };
 
 /// Process-global ledger sink, modeled on telemetry::Telemetry: one
-/// relaxed atomic load when off, mutex-serialized file appends when on.
+/// relaxed atomic load when off, a move into the drainer's queue when on.
 /// Writers (simulator, env, controller, FedAvg) never construct record
 /// objects unless both Telemetry and the ledger are enabled.
 class RunLedger {
@@ -153,22 +147,20 @@ class RunLedger {
   /// Opens `config.path` (truncating) and writes the header line.
   /// Returns false (and stays disabled) if the file cannot be opened.
   static bool enable(const LedgerConfig& config);
-  /// Drains the async writer (if any), flushes and closes the file.
-  /// Idempotent.
+  /// Drains the writer, flushes and closes the file. Idempotent.
   static void disable();
-  /// Async mode: waits until every accepted record reached the file, then
-  /// flushes it. Sync mode: flushes the stream.
+  /// Waits until every accepted record reached the file, then flushes it.
   static void flush();
   static const LedgerConfig& config();
-  /// Records accepted since enable() (header excluded). In async mode an
-  /// accepted record is guaranteed to reach the file by the next flush().
+  /// Records accepted since enable() (header excluded). An accepted
+  /// record is guaranteed to reach the file by the next flush().
   static std::uint64_t records_written();
-  /// Records dropped by the async ring since enable() (0 in sync mode).
+  /// Records dropped for lack of queue budget since enable().
   static std::uint64_t dropped_records();
 
-  static void record_round(const RoundRecord& record);
-  static void record_decision(const DecisionRecord& record);
-  static void record_fl_round(const FlRoundRecord& record);
+  static void record_round(RoundRecord record);
+  static void record_decision(DecisionRecord record);
+  static void record_fl_round(FlRoundRecord record);
 
  private:
   static std::atomic<bool>& enabled_flag();

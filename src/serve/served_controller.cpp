@@ -95,7 +95,7 @@ void ServedDrlController::observe(const IterationResult& result) {
         decision.realized_energy = result.total_energy;
         decision.realized_cost = result.cost;
         decision.reward = result.reward;
-        obs::RunLedger::record_decision(decision);
+        obs::RunLedger::record_decision(std::move(decision));
       }
     }
   }

@@ -1,9 +1,8 @@
-// Stress/fuzz wall for the asynchronous ledger writer
-// (obs/async_writer.hpp): codec round-trips under fuzzed records, a
-// concurrent multi-producer + drainer hammer, forced ring overflow with
+// Stress wall for the asynchronous ledger writer (obs/async_writer.hpp):
+// a concurrent multi-producer + drainer hammer, forced queue overflow with
 // observable drop counters, flush-at-exit ordering, and the headline
-// contract — the async-drained JSONL is BYTE-identical to what the
-// synchronous writer produces for the same record stream.
+// contract — the drained JSONL file is BYTE-identical to the header plus
+// the *_record_json formatters' output for the same record stream.
 #include "obs/async_writer.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +16,7 @@
 #include <vector>
 
 #include "obs/ledger.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -111,56 +111,6 @@ FlRoundRecord fuzz_fl_round(Rng& rng) {
   return f;
 }
 
-// The frame codecs are what cross the ring: encode -> decode must
-// reproduce the record exactly (the JSON formatter then guarantees the
-// byte-identical line).
-TEST(AsyncLedger, CodecRoundTripsFuzzedRecords) {
-  Rng rng(101);
-  std::vector<std::uint8_t> buf;
-  for (int iter = 0; iter < 500; ++iter) {
-    {
-      RoundRecord in = fuzz_round(rng);
-      encode_round_payload(in, buf);
-      RoundRecord out;
-      ASSERT_TRUE(decode_round_payload(buf.data(), buf.size(), out));
-      EXPECT_EQ(round_record_json(in), round_record_json(out));
-    }
-    {
-      DecisionRecord in = fuzz_decision(rng);
-      encode_decision_payload(in, buf);
-      DecisionRecord out;
-      ASSERT_TRUE(decode_decision_payload(buf.data(), buf.size(), out));
-      EXPECT_EQ(decision_record_json(in), decision_record_json(out));
-    }
-    {
-      FlRoundRecord in = fuzz_fl_round(rng);
-      encode_fl_round_payload(in, buf);
-      FlRoundRecord out;
-      ASSERT_TRUE(decode_fl_round_payload(buf.data(), buf.size(), out));
-      EXPECT_EQ(fl_round_record_json(in), fl_round_record_json(out));
-    }
-  }
-}
-
-// Truncated payloads must be rejected, never read out of bounds.
-TEST(AsyncLedger, DecoderRejectsTruncatedPayloads) {
-  Rng rng(202);
-  RoundRecord r = fuzz_round(rng);
-  std::vector<std::uint8_t> buf;
-  encode_round_payload(r, buf);
-  RoundRecord out;
-  for (std::size_t len = 0; len < buf.size(); ++len) {
-    EXPECT_FALSE(decode_round_payload(buf.data(), len, out))
-        << "accepted truncation at " << len << "/" << buf.size();
-  }
-  DecisionRecord d = fuzz_decision(rng);
-  encode_decision_payload(d, buf);
-  DecisionRecord dout;
-  for (std::size_t len = 0; len < buf.size(); ++len) {
-    EXPECT_FALSE(decode_decision_payload(buf.data(), len, dout));
-  }
-}
-
 // Single producer: drained output must be the records' JSONL in order.
 TEST(AsyncLedger, DrainsInOrderAndWaitDrainedIsComplete) {
   std::vector<std::string> lines;
@@ -175,7 +125,7 @@ TEST(AsyncLedger, DrainsInOrderAndWaitDrainedIsComplete) {
   for (int i = 0; i < 200; ++i) {
     DecisionRecord d = fuzz_decision(rng);
     d.round = static_cast<std::size_t>(i);
-    while (!writer.enqueue_decision(d)) {
+    while (!writer.enqueue(d)) {
       writer.wait_drained();  // tiny test machine: don't spin-drop
     }
     expected.push_back(decision_record_json(d));
@@ -215,7 +165,7 @@ TEST(AsyncLedger, ConcurrentProducersLoseNothingAccepted) {
       for (int i = 0; i < kPerProducer; ++i) {
         FlRoundRecord f = fuzz_fl_round(rng);
         f.round = static_cast<std::size_t>(p * kPerProducer + i);
-        if (writer.enqueue_fl_round(f)) {
+        if (writer.enqueue(f)) {
           sent.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -232,11 +182,11 @@ TEST(AsyncLedger, ConcurrentProducersLoseNothingAccepted) {
   writer.stop();
 }
 
-// A ring too small for the stream must DROP (never block, never tear):
+// A budget too small for the stream must DROP (never block, never tear):
 // the drop counter is observable and the drained lines are exactly the
 // accepted records.
 TEST(AsyncLedger, OverflowDropsWholeRecordsAndCounts) {
-  // Stall the sink so the ring genuinely fills.
+  // Stall the sink so the queue genuinely fills.
   std::atomic<bool> release{false};
   std::vector<std::string> lines;
   std::mutex lines_mutex;
@@ -253,11 +203,11 @@ TEST(AsyncLedger, OverflowDropsWholeRecordsAndCounts) {
   for (int i = 0; i < 500; ++i) {
     DecisionRecord d = fuzz_decision(rng);
     d.round = static_cast<std::size_t>(i);
-    if (writer.enqueue_decision(d)) {
+    if (writer.enqueue(d)) {
       accepted_json.push_back(decision_record_json(d));
     }
   }
-  EXPECT_GT(writer.dropped(), 0u) << "4 KiB ring cannot hold 500 records";
+  EXPECT_GT(writer.dropped(), 0u) << "4 KiB budget cannot hold 500 records";
   EXPECT_EQ(writer.accepted(), accepted_json.size());
 
   release.store(true, std::memory_order_release);
@@ -285,16 +235,17 @@ TEST(AsyncLedger, StopDrainsBeforeJoining) {
     Rng rng(505);
     for (int i = 0; i < 50; ++i) {
       FlRoundRecord f = fuzz_fl_round(rng);
-      ASSERT_TRUE(writer.enqueue_fl_round(f));
+      ASSERT_TRUE(writer.enqueue(f));
     }
     // Destructor path: stop() without wait_drained().
   }
   EXPECT_EQ(lines.size(), 50u);
 }
 
-// Headline contract through the PUBLIC RunLedger facade: the same record
-// stream written once with async=true and once with async=false must
-// produce byte-identical files.
+// Headline contract through the PUBLIC RunLedger facade: the drained file
+// must equal, byte for byte, the header line followed by the formatters'
+// lines for the same records in recording order. The formatters are the
+// oracle: the writer adds no encoding of its own.
 TEST(AsyncLedger, AsyncFileBitwiseEqualsSyncFile) {
   LedgerGuard guard;
   Rng record_rng(606);
@@ -307,76 +258,84 @@ TEST(AsyncLedger, AsyncFileBitwiseEqualsSyncFile) {
     fl_rounds.push_back(fuzz_fl_round(record_rng));
   }
 
-  auto write_all = [&](bool async, const std::string& path) {
-    LedgerConfig cfg;
-    cfg.path = path;
-    cfg.run_id = "bitwise-test";
-    cfg.lambda = 0.5;
-    cfg.async = async;
-    cfg.ring_bytes = 1 << 20;  // ample: nothing may drop
-    ASSERT_TRUE(RunLedger::enable(cfg));
-    for (int i = 0; i < 40; ++i) {
-      RunLedger::record_round(rounds[static_cast<std::size_t>(i)]);
-      RunLedger::record_decision(decisions[static_cast<std::size_t>(i)]);
-      RunLedger::record_fl_round(fl_rounds[static_cast<std::size_t>(i)]);
-    }
-    RunLedger::flush();
-    EXPECT_EQ(RunLedger::records_written(), 120u);
-    EXPECT_EQ(RunLedger::dropped_records(), 0u);
-    RunLedger::disable();
-  };
+  const std::string path = temp_path("ledger_drained.jsonl");
+  LedgerConfig cfg;
+  cfg.path = path;
+  cfg.run_id = "bitwise-test";
+  cfg.lambda = 0.5;
+  ASSERT_TRUE(RunLedger::enable(cfg));
+  std::string expected =
+      "{\"type\":\"header\",\"schema\":\"fedra.ledger.v1\","
+      "\"run_id\":\"bitwise-test\",\"lambda\":0.5}\n";
+  for (std::size_t i = 0; i < rounds.size(); ++i) {
+    expected += round_record_json(rounds[i]) + "\n";
+    expected += decision_record_json(decisions[i]) + "\n";
+    expected += fl_round_record_json(fl_rounds[i]) + "\n";
+    RunLedger::record_round(rounds[i]);
+    RunLedger::record_decision(decisions[i]);
+    RunLedger::record_fl_round(fl_rounds[i]);
+  }
+  RunLedger::flush();
+  EXPECT_EQ(RunLedger::records_written(), 120u);
+  EXPECT_EQ(RunLedger::dropped_records(), 0u);
+  RunLedger::disable();
 
-  const std::string async_path = temp_path("ledger_async.jsonl");
-  const std::string sync_path = temp_path("ledger_sync.jsonl");
-  write_all(true, async_path);
-  write_all(false, sync_path);
+  EXPECT_EQ(slurp(path), expected);
 
-  const std::string async_bytes = slurp(async_path);
-  const std::string sync_bytes = slurp(sync_path);
-  ASSERT_FALSE(async_bytes.empty());
-  EXPECT_EQ(async_bytes, sync_bytes);
-
-  // And the reader parses the async file cleanly.
+  // And the reader parses the drained file cleanly.
   Ledger parsed;
-  ASSERT_TRUE(read_ledger_file(async_path, parsed));
+  ASSERT_TRUE(read_ledger_file(path, parsed));
   EXPECT_EQ(parsed.rounds.size(), 40u);
   EXPECT_EQ(parsed.decisions.size(), 40u);
   EXPECT_EQ(parsed.fl_rounds.size(), 40u);
   EXPECT_EQ(parsed.parse_errors, 0u);
 
-  std::remove(async_path.c_str());
-  std::remove(sync_path.c_str());
+  std::remove(path.c_str());
 }
 
-// Overflow through the facade: a tiny ring must surface drops via
-// dropped_records() while the file still holds exactly the accepted
-// records (all parseable — drops are whole records, not torn lines).
+// Overflow through the facade: a decision whose state alone exceeds the
+// writer's fixed 1 MiB budget is dropped whole and counted, in
+// dropped_records() and in the obs.ledger.dropped counter, while the file
+// still holds exactly the accepted records (all parseable — drops are
+// whole records, not torn lines).
 TEST(AsyncLedger, FacadeOverflowIsCountedAndFileStaysWellFormed) {
   LedgerGuard guard;
+  telemetry::Telemetry::enable({});
+  const auto dropped_counter =
+      telemetry::Telemetry::metrics().counter("obs.ledger.dropped");
+  const std::uint64_t counter_before = dropped_counter.value();
+
   const std::string path = temp_path("ledger_overflow.jsonl");
   LedgerConfig cfg;
   cfg.path = path;
   cfg.run_id = "overflow-test";
-  cfg.async = true;
-  cfg.ring_bytes = 4096;  // min ring: force congestion
   ASSERT_TRUE(RunLedger::enable(cfg));
 
   Rng rng(707);
-  const int kTotal = 4000;
-  for (int i = 0; i < kTotal; ++i) {
+  DecisionRecord huge = fuzz_decision(rng);
+  huge.state.assign((std::size_t{1} << 20) / sizeof(double) + 1, 0.25);
+  std::vector<std::string> accepted_json;
+  for (int i = 0; i < 20; ++i) {
     DecisionRecord d = fuzz_decision(rng);
     d.round = static_cast<std::size_t>(i);
-    RunLedger::record_decision(d);
+    accepted_json.push_back(decision_record_json(d));
+    RunLedger::record_decision(std::move(d));
+    if (i == 10) RunLedger::record_decision(huge);
   }
   RunLedger::flush();
-  const std::uint64_t written = RunLedger::records_written();
-  const std::uint64_t dropped = RunLedger::dropped_records();
-  EXPECT_EQ(written + dropped, static_cast<std::uint64_t>(kTotal));
+  EXPECT_EQ(RunLedger::records_written(), accepted_json.size());
+  EXPECT_EQ(RunLedger::dropped_records(), 1u);
+  EXPECT_EQ(dropped_counter.value(), counter_before + 1);
   RunLedger::disable();
+  telemetry::Telemetry::disable();
 
   Ledger parsed;
   ASSERT_TRUE(read_ledger_file(path, parsed));
-  EXPECT_EQ(parsed.decisions.size(), static_cast<std::size_t>(written));
+  ASSERT_EQ(parsed.decisions.size(), accepted_json.size());
+  for (std::size_t i = 0; i < accepted_json.size(); ++i) {
+    EXPECT_EQ(decision_record_json(parsed.decisions[i]), accepted_json[i])
+        << "line " << i;
+  }
   EXPECT_EQ(parsed.parse_errors, 0u);
   std::remove(path.c_str());
 }

@@ -3,7 +3,10 @@
 // flight recorder (ring wrap accounting, JSON/text dumps, the crash
 // handler, zero-alloc steady state), the /statusz source registry, and
 // the embedded HTTP exporter under concurrent scrape + mutation load.
+#include <arpa/inet.h>
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -523,6 +526,46 @@ TEST(LiveServer, StatusSourcesAppearInStatusz) {
   EXPECT_TRUE(src->get_bool("ready"));
   server.stop();
   live::unregister_status_source(id);
+}
+
+// Two clients that trickle one byte every 200 ms would each hold one of
+// the default two accept threads for as long as they keep trickling if
+// only each recv were bounded. The whole-request deadline must cut them
+// off so /healthz is still served.
+TEST(LiveServer, TricklingClientsDoNotStarveHealthz) {
+  live::LiveServer server{live::LiveConfig{}};
+  ASSERT_TRUE(server.start());
+  const int port = server.port();
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> tricklers;
+  for (int c = 0; c < 2; ++c) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    tricklers.emplace_back([fd, &stop] {
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(8);
+      while (!stop.load() && std::chrono::steady_clock::now() < give_up) {
+        if (::send(fd, "a", 1, MSG_NOSIGNAL) != 1) break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      }
+      ::close(fd);
+    });
+  }
+  // Let both accept threads pick up a trickler before asking for /healthz.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const auto r = live::http_get("127.0.0.1", port, "/healthz", 5000);
+  EXPECT_EQ(r.status, 200);
+
+  stop.store(true);
+  for (auto& t : tricklers) t.join();
+  server.stop();
 }
 
 TEST(LiveServer, RejectsMalformedAndUnknownRequests) {

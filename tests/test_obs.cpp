@@ -3,6 +3,7 @@
 // ledger whose per-round cost decomposition round-trips bit-exactly.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -20,6 +21,7 @@
 #include "sim/experiment_config.hpp"
 #include "telemetry/telemetry.hpp"
 #include "tensor/matrix.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -613,6 +615,115 @@ TEST(Report, EmitsSelfContainedHtml) {
   EXPECT_NE(html.find("prefers-color-scheme: dark"), std::string::npos);
   EXPECT_NE(html.find("Table view"), std::string::npos);
   EXPECT_NE(html.find("sim.step"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Mutation fuzz for obs::parse_json: the ledger reader, fedra_report,
+// telemetry_report and bench compare all feed it lines read from disk.
+
+/// Valid lines of every kind the parser reads: ledger header/round/
+/// decision/fl_round, telemetry sink lines, and a /statusz body.
+std::vector<std::string> json_fuzz_seeds() {
+  obs::RoundRecord round;
+  round.round = 7;
+  round.iteration_time = 1.25;
+  round.cost = 3.5;
+  round.devices_omitted = 2;
+  obs::DeviceRoundRecord dev;
+  dev.failure = "timeout";
+  dev.freq_hz = 1.5e9;
+  dev.avg_bandwidth = 2.75e6;
+  round.devices = {dev, dev};
+  obs::DecisionRecord decision;
+  decision.action = {0.25, 0.5, 1.0};
+  decision.state = {-1.5, 0.0, 3e-7, 12.0};
+  obs::FlRoundRecord fl;
+  fl.global_loss = 0.693;
+  fl.num_participants = 5;
+  return {
+      "{\"type\":\"header\",\"schema\":\"fedra.ledger.v1\","
+      "\"run_id\":\"fuzz \\\"q\\\" \\u00e9\",\"lambda\":0.5}",
+      obs::round_record_json(round),
+      obs::decision_record_json(decision),
+      obs::fl_round_record_json(fl),
+      "{\"type\":\"counter\",\"name\":\"sim.iterations\",\"value\":4}",
+      "{\"type\":\"histogram\",\"name\":\"sim.step_us\",\"count\":4,"
+      "\"sum\":10,\"min\":1,\"max\":4,\"mean\":2.5,\"p50\":2,\"p90\":3.6,"
+      "\"p99\":3.96,\"bounds\":[1,2,4],\"bucket_counts\":[1,1,2,0]}",
+      "{\"type\":\"span\",\"name\":\"rollout\",\"ts_us\":0,\"dur_us\":4e2,"
+      "\"tid\":1,\"trace_id\":\"0x1\",\"span_id\":\"0x2\","
+      "\"parent_span_id\":\"0x0\"}",
+      "{\"status\":\"ok\",\"scrapes\":3,\"uptime_s\":1.500000,"
+      "\"watchdog_age_s\":-1.000000,\"recorder\":{\"threads\":1,"
+      "\"records\":9,\"dropped\":0},\"sources\":{\"ledger\":{"
+      "\"enabled\":true,\"records_written\":2,\"dropped\":0,"
+      "\"suppressed\":null}},\"events\":[[1,\"env.step\",3],[]]}",
+  };
+}
+
+TEST(JsonFuzz, SeedsParseAndEveryProperPrefixIsRejected) {
+  for (const std::string& seed : json_fuzz_seeds()) {
+    obs::JsonValue v;
+    ASSERT_TRUE(obs::parse_json(seed, v)) << seed;
+    ASSERT_TRUE(v.is_object()) << seed;
+    for (std::size_t len = 0; len < seed.size(); ++len) {
+      EXPECT_FALSE(obs::parse_json(std::string_view(seed).substr(0, len), v))
+          << "accepted prefix " << len << "/" << seed.size() << " of "
+          << seed;
+    }
+  }
+}
+
+// Random byte flips, insertions and deletions: the parser (and the ledger
+// reader behind it) must return, never crash or read out of bounds (the
+// sanitize label runs this under ASan/UBSan).
+TEST(JsonFuzz, MutatedLinesNeverCrash) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Rng rng(0x15Eu);
+  const std::vector<std::string> seeds = json_fuzz_seeds();
+  std::size_t accepted = 0;
+  std::string ledger_text;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string line =
+        seeds[static_cast<std::size_t>(iter) % seeds.size()];
+    const int edits = static_cast<int>(rng.uniform_int(1, 4));
+    for (int e = 0; e < edits; ++e) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(line.size()) - 1));
+      switch (rng.uniform_int(0, 2)) {
+        case 0:  // flip one bit
+          line[at] = static_cast<char>(
+              static_cast<unsigned char>(line[at]) ^
+              (1u << rng.uniform_int(0, 7)));
+          break;
+        case 1:  // insert a random byte
+          line.insert(at, 1, static_cast<char>(rng.uniform_int(0, 255)));
+          break;
+        default:  // delete one byte
+          if (line.size() > 1) line.erase(at, 1);
+          break;
+      }
+    }
+    obs::JsonValue v;
+    if (obs::parse_json(line, v)) ++accepted;
+    ledger_text += line;
+    ledger_text += '\n';
+  }
+  // Some single-byte edits keep the line valid (a digit flipped to a
+  // digit); most must not.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, 4000u);
+
+  std::istringstream in(ledger_text);
+  const obs::Ledger ledger = obs::read_ledger(in);
+  EXPECT_GT(ledger.parse_errors, 0u);
+
+  // Nesting past the parser's depth bound is rejected, not recursed into.
+  obs::JsonValue v;
+  EXPECT_FALSE(obs::parse_json(std::string(100000, '['), v));
+  EXPECT_FALSE(obs::parse_json(std::string(100000, '{'), v));
+
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(60));
 }
 
 }  // namespace

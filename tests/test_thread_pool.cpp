@@ -4,7 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -367,6 +372,41 @@ TEST(ThreadPool, WorkerTaskCountersAccountForSubmittedTasks) {
   const std::uint64_t w0 = pool.idle_wakeups();
   EXPECT_GE(pool.steal_count(), s0);
   EXPECT_GE(pool.idle_wakeups(), w0);
+}
+
+// Liveness of the epoch/sleepers wakeup protocol: N tasks that each wait
+// for all N to arrive can only finish if every worker is woken for one of
+// them. Each round starts after a 1 ms idle gap, so the workers park
+// first; a lost wakeup leaves a task queued and the rendezvous times out.
+TEST(ThreadPool, ParkedWorkersWakeForEveryRendezvous) {
+  constexpr std::size_t kWorkers = 4;
+  ThreadPool pool(kWorkers);
+  struct Rendezvous {
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::size_t arrived = 0;
+  };
+  for (int round = 0; round < 200; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    // Shared, not on the stack: a task may outlive a failed round.
+    auto meet = std::make_shared<Rendezvous>();
+    std::vector<std::future<bool>> done;
+    for (std::size_t i = 0; i < kWorkers; ++i) {
+      done.push_back(pool.submit([meet] {
+        std::unique_lock<std::mutex> lock(meet->mutex);
+        if (++meet->arrived == kWorkers) meet->cv.notify_all();
+        return meet->cv.wait_for(lock, std::chrono::seconds(5), [&] {
+          return meet->arrived == kWorkers;
+        });
+      }));
+    }
+    for (auto& f : done) {
+      ASSERT_EQ(f.wait_for(std::chrono::seconds(10)),
+                std::future_status::ready)
+          << "round " << round << ": a task never started";
+      ASSERT_TRUE(f.get()) << "round " << round << ": rendezvous timed out";
+    }
+  }
 }
 
 }  // namespace

@@ -4,127 +4,30 @@
 //
 //   telemetry_report <run.jsonl> [--top N] [--no-metrics] [--strict]
 //
-// The JSONL is produced by fedra itself (telemetry/sinks.cpp), so the
-// parser is a deliberately small line-oriented key extractor, not a
-// general JSON parser. Truncated or interleaved lines (torn writes from
-// a crashed or concurrent run) are skipped and counted; the report still
+// Each line is parsed with obs::parse_json, the reader the run ledger and
+// fedra_report use. Lines that are not one JSON object (torn writes from a
+// crashed or concurrent run) are skipped and counted; the report still
 // renders from whatever parsed. `--strict` turns any skipped line into a
 // nonzero exit for CI use. A phase's share is its total over the total of
 // root spans (no parent_span_id), so nested phases are not counted twice.
+// Histogram quantiles come from telemetry::HistogramSnapshot::percentile
+// over the serialized buckets.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "obs/json_min.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/argparse.hpp"
 
 namespace {
 
-// Extracts the raw token following `"key":` in a single-line JSON object.
-// Returns false when the key is absent.
-bool extract_token(const std::string& line, const std::string& key,
-                   std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t start = pos + needle.size();
-  if (start >= line.size()) return false;
-  if (line[start] == '"') {
-    ++start;
-    std::string value;
-    for (std::size_t i = start; i < line.size(); ++i) {
-      if (line[i] == '\\' && i + 1 < line.size()) {
-        value += line[i + 1];
-        ++i;
-        continue;
-      }
-      if (line[i] == '"') break;
-      value += line[i];
-    }
-    out = value;
-    return true;
-  }
-  std::size_t end = start;
-  while (end < line.size() && line[end] != ',' && line[end] != '}' &&
-         line[end] != ']') {
-    ++end;
-  }
-  out = line.substr(start, end - start);
-  return true;
-}
-
-// Span ids are hex strings ("0x1f"); 0 (no parent) also for garbage.
-std::uint64_t parse_span_id(const std::string& token) {
-  try {
-    return std::stoull(token, nullptr, 16);
-  } catch (...) {
-    return 0;
-  }
-}
-
-bool extract_double(const std::string& line, const std::string& key,
-                    double& out) {
-  std::string token;
-  if (!extract_token(line, key, token)) return false;
-  try {
-    out = std::stod(token);
-  } catch (...) {
-    return false;
-  }
-  return true;
-}
-
-// Extracts a flat numeric array following `"key":[...]`. Histogram lines
-// carry the raw geometric buckets as "bounds" and "bucket_counts"; the
-// percentile table below re-derives quantiles from them so the report
-// works on logs that predate the precomputed p50/p90/p99 fields.
-bool extract_array(const std::string& line, const std::string& key,
-                   std::vector<double>& out) {
-  const std::string needle = "\"" + key + "\":[";
-  const auto pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t i = pos + needle.size();
-  const auto end = line.find(']', i);
-  if (end == std::string::npos) return false;
-  out.clear();
-  while (i < end) {
-    std::size_t next = line.find(',', i);
-    if (next == std::string::npos || next > end) next = end;
-    try {
-      out.push_back(std::stod(line.substr(i, next - i)));
-    } catch (...) {
-      return false;
-    }
-    i = next + 1;
-  }
-  return true;
-}
-
-// Mirror of HistogramSnapshot::percentile: linear interpolation inside
-// the first bucket whose cumulative count reaches the target, clamped to
-// the observed extrema.
-double bucket_percentile(double q, double count, double min, double max,
-                         const std::vector<double>& bounds,
-                         const std::vector<double>& counts) {
-  if (count <= 0.0 || counts.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 100.0);
-  const double target = q / 100.0 * count;
-  double seen = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    if (counts[i] <= 0.0) continue;
-    const double lo_seen = seen;
-    seen += counts[i];
-    if (seen < target) continue;
-    const double lo = i == 0 ? min : bounds[i - 1];
-    const double hi = i < bounds.size() ? std::min(bounds[i], max) : max;
-    const double frac = (target - lo_seen) / counts[i];
-    return std::clamp(lo + frac * (hi - lo), min, max);
-  }
-  return max;
-}
+using fedra::obs::JsonValue;
 
 struct PhaseAgg {
   std::uint64_t count = 0;
@@ -132,19 +35,32 @@ struct PhaseAgg {
   double max_us = 0.0;
 };
 
-struct HistRow {
-  std::string name;
-  double count = 0.0;
-  double mean = 0.0;
-  double min = 0.0;
-  double p50 = 0.0;
-  double p90 = 0.0;
-  double p99 = 0.0;
-  double max = 0.0;
-  bool has_exact = false;  // line carried precomputed p50/p90/p99 fields
-  std::vector<double> bounds;
-  std::vector<double> bucket_counts;
-};
+/// Non-negative integer field; 0 for anything a uint64 cannot hold.
+std::uint64_t to_count(const JsonValue& v) {
+  const double d = v.number_or(0.0);
+  return d > 0.0 && d < 0x1p64 ? static_cast<std::uint64_t>(d) : 0;
+}
+
+/// Rebuilds the snapshot a histogram line was written from (the sink
+/// prints bounds, bucket_counts, count, sum, min and max). False when the
+/// bucket shape is not bounds + 1 counts, which percentile() relies on.
+bool histogram_from(const JsonValue& v, std::string name,
+                    fedra::telemetry::HistogramSnapshot& h) {
+  h.name = std::move(name);
+  if (const JsonValue* count = v.find("count")) h.count = to_count(*count);
+  h.sum = v.get_number("sum");
+  h.min = v.get_number("min");
+  h.max = v.get_number("max");
+  if (const JsonValue* bounds = v.find("bounds");
+      bounds != nullptr && bounds->is_array()) {
+    for (const JsonValue& b : bounds->array) h.bounds.push_back(b.number_or(0));
+  }
+  if (const JsonValue* counts = v.find("bucket_counts");
+      counts != nullptr && counts->is_array()) {
+    for (const JsonValue& c : counts->array) h.counts.push_back(to_count(c));
+  }
+  return h.counts.size() == h.bounds.size() + 1;
+}
 
 }  // namespace
 
@@ -170,7 +86,7 @@ int main(int argc, char** argv) {
   double root_total_us = 0.0;  ///< share denominator: root spans only
   std::vector<std::pair<std::string, double>> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistRow> histograms;
+  std::vector<fedra::telemetry::HistogramSnapshot> histograms;
   std::size_t bad_lines = 0;
 
   std::string line;
@@ -182,70 +98,44 @@ int main(int argc, char** argv) {
     if (line.empty()) continue;
     // A sink line is exactly one JSON object. A torn write (crashed run,
     // interleaved appends) loses the tail or splices two objects; both
-    // fail this shape check and are skipped instead of feeding the key
-    // extractor garbage.
-    if (line.front() != '{' || line.back() != '}' ||
-        line.find('{', 1) != std::string::npos) {
+    // fail the parse and are skipped.
+    JsonValue v;
+    if (!fedra::obs::parse_json(line, v) || !v.is_object()) {
       ++bad_lines;
       continue;
     }
-    std::string type;
-    if (!extract_token(line, "type", type)) {
-      ++bad_lines;
-      continue;
-    }
-    std::string name;
-    if (!extract_token(line, "name", name)) {
+    const std::string type = v.get_string("type");
+    std::string name = v.get_string("name");
+    if (name.empty()) {
       ++bad_lines;
       continue;
     }
     if (type == "span") {
-      double dur = 0.0;
-      if (!extract_double(line, "dur_us", dur)) {
+      const JsonValue* dur_v = v.find("dur_us");
+      if (dur_v == nullptr || !dur_v->is_number()) {
         ++bad_lines;
         continue;
       }
+      const double dur = dur_v->number;
       auto& agg = phases[name];
       ++agg.count;
       agg.total_us += dur;
       agg.max_us = std::max(agg.max_us, dur);
-      // Spans without causal ids (parent_span_id absent) are roots.
-      std::string parent;
-      if (!extract_token(line, "parent_span_id", parent) ||
-          parse_span_id(parent) == 0) {
+      // Spans with no parent (parent_span_id absent or 0x0) are roots.
+      if (v.get_string("parent_span_id", "0x0") == "0x0") {
         root_total_us += dur;
       }
     } else if (type == "counter") {
-      double v = 0.0;
-      extract_double(line, "value", v);
-      counters.emplace_back(name, v);
+      counters.emplace_back(std::move(name), v.get_number("value"));
     } else if (type == "gauge") {
-      double v = 0.0;
-      extract_double(line, "value", v);
-      gauges.emplace_back(name, v);
+      gauges.emplace_back(std::move(name), v.get_number("value"));
     } else if (type == "histogram") {
-      HistRow row;
-      row.name = name;
-      extract_double(line, "count", row.count);
-      extract_double(line, "mean", row.mean);
-      extract_double(line, "min", row.min);
-      row.has_exact = extract_double(line, "p50", row.p50);
-      extract_double(line, "p90", row.p90);
-      extract_double(line, "p99", row.p99);
-      extract_double(line, "max", row.max);
-      extract_array(line, "bounds", row.bounds);
-      extract_array(line, "bucket_counts", row.bucket_counts);
-      // Older logs without the precomputed quantile fields: estimate
-      // from the geometric buckets instead of printing zeros.
-      if (!row.has_exact && !row.bucket_counts.empty()) {
-        row.p50 = bucket_percentile(50.0, row.count, row.min, row.max,
-                                    row.bounds, row.bucket_counts);
-        row.p90 = bucket_percentile(90.0, row.count, row.min, row.max,
-                                    row.bounds, row.bucket_counts);
-        row.p99 = bucket_percentile(99.0, row.count, row.min, row.max,
-                                    row.bounds, row.bucket_counts);
+      fedra::telemetry::HistogramSnapshot h;
+      if (!histogram_from(v, std::move(name), h)) {
+        ++bad_lines;
+        continue;
       }
-      histograms.push_back(std::move(row));
+      histograms.push_back(std::move(h));
     } else {
       ++bad_lines;
     }
@@ -392,38 +282,14 @@ int main(int argc, char** argv) {
   if (show_metrics) {
     if (!histograms.empty()) {
       std::printf("\n== histograms ==\n");
-      std::printf("%-28s %10s %12s %12s %12s %12s %12s\n", "name", "count",
-                  "mean", "p50", "p90", "p99", "max");
+      std::printf("%-28s %10s %12s %12s %12s %12s %12s %12s\n", "name",
+                  "count", "mean", "p50", "p90", "p99", "p99.9", "max");
       for (const auto& h : histograms) {
-        std::printf("%-28s %10.0f %12.4g %12.4g %12.4g %12.4g %12.4g\n",
-                    h.name.c_str(), h.count, h.mean, h.p50, h.p90, h.p99,
-                    h.max);
-      }
-      // Bucket-estimated percentile table: re-derives every quantile from
-      // the raw geometric buckets (the same interpolation the snapshot
-      // uses), so the two tables agreeing is a cross-check that the
-      // serialized buckets are self-consistent with the precomputed
-      // fields — and the only quantile source for logs lacking them.
-      bool header = false;
-      for (const auto& h : histograms) {
-        if (h.bucket_counts.empty()) continue;
-        if (!header) {
-          std::printf("\n== percentiles (bucket-estimated) ==\n");
-          std::printf("%-28s %10s %12s %12s %12s %12s\n", "name", "buckets",
-                      "p50", "p90", "p99", "p99.9");
-          header = true;
-        }
         std::printf(
-            "%-28s %10zu %12.4g %12.4g %12.4g %12.4g\n", h.name.c_str(),
-            h.bucket_counts.size(),
-            bucket_percentile(50.0, h.count, h.min, h.max, h.bounds,
-                              h.bucket_counts),
-            bucket_percentile(90.0, h.count, h.min, h.max, h.bounds,
-                              h.bucket_counts),
-            bucket_percentile(99.0, h.count, h.min, h.max, h.bounds,
-                              h.bucket_counts),
-            bucket_percentile(99.9, h.count, h.min, h.max, h.bounds,
-                              h.bucket_counts));
+            "%-28s %10llu %12.4g %12.4g %12.4g %12.4g %12.4g %12.4g\n",
+            h.name.c_str(), static_cast<unsigned long long>(h.count),
+            h.mean(), h.percentile(50.0), h.percentile(90.0),
+            h.percentile(99.0), h.percentile(99.9), h.max);
       }
     }
     bool counters_header = false;
